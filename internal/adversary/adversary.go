@@ -13,9 +13,10 @@
 //     scenarios, which keeps concurrent fuzz workers deterministic under
 //     the race detector. This is the mode the fuzzer uses.
 //   - Per-call derivation from Seed: the piece hashes (Seed, round, slot)
-//     into a throwaway source on every call. Stateless and call-order
-//     independent; kept for hand-written experiments and as the fallback
-//     when Rand is nil.
+//     into a fresh stream on every call — the math/rand stream of that
+//     seed, drawn in closed form by package prand rather than by building
+//     a math/rand source. Stateless and call-order independent; kept for
+//     hand-written experiments and as the fallback when Rand is nil.
 //
 // DropPolicies deliberately never use a sequential stream: a drop decision
 // must be a pure function of (round, from, to) so that shrinking a
@@ -29,6 +30,7 @@ import (
 
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
+	"homonyms/internal/prand"
 	"homonyms/internal/sim"
 )
 
@@ -121,8 +123,10 @@ func (c *Composite) DropBatch(round, toSlot int, fromSlots []int32, drop []bool)
 
 // NewRand returns the deterministic per-scenario stream shared by one
 // scenario's randomized pieces. Build one per scenario and never share it
-// across scenarios (or across goroutines).
-func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+// across scenarios (or across goroutines). Its values are math/rand's
+// for the same seed; scenarios that draw little never build the
+// 607-word math/rand state.
+func NewRand(seed int64) *rand.Rand { return rand.New(prand.NewSource(seed)) }
 
 // ---------------------------------------------------------------------------
 // Selectors
@@ -182,7 +186,7 @@ type RandomT struct {
 func (r RandomT) Select(p hom.Params, _ hom.Assignment, _ []hom.Value) []int {
 	rng := r.Rand
 	if rng == nil {
-		rng = rand.New(rand.NewSource(r.Seed))
+		rng = rand.New(prand.NewSource(r.Seed))
 	}
 	perm := rng.Perm(p.N)
 	out := append([]int(nil), perm[:p.T]...)
@@ -220,7 +224,7 @@ type Noise struct {
 func (nz Noise) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
 	rng := nz.Rand
 	if rng == nil {
-		rng = rand.New(rand.NewSource(nz.Seed ^ int64(round)<<20 ^ int64(slot)))
+		rng = rand.New(prand.NewSource(nz.Seed ^ int64(round)<<20 ^ int64(slot)))
 	}
 	out := make([]msg.TargetedSend, 0, view.Params.N)
 	for to := 0; to < view.Params.N; to++ {
@@ -250,7 +254,7 @@ func (e Equivocate) Sends(round, slot int, view *sim.View) []msg.TargetedSend {
 	}
 	rng := e.Rand
 	if rng == nil {
-		rng = rand.New(rand.NewSource(e.Seed ^ int64(round)<<18 ^ int64(slot)))
+		rng = rand.New(prand.NewSource(e.Seed ^ int64(round)<<18 ^ int64(slot)))
 	}
 	var out []msg.TargetedSend
 	for to := 0; to < view.Params.N; to++ {
@@ -306,7 +310,7 @@ func (e KeyEquivocate) Sends(round, slot int, view *sim.View) []msg.TargetedSend
 	}
 	rng := e.Rand
 	if rng == nil {
-		rng = rand.New(rand.NewSource(e.Seed ^ int64(round)<<18 ^ int64(slot)))
+		rng = rand.New(prand.NewSource(e.Seed ^ int64(round)<<18 ^ int64(slot)))
 	}
 	// One source per identifier, drawn in identifier order so the stream
 	// consumption is deterministic.
@@ -397,8 +401,7 @@ type RandomDrops struct {
 // Drop implements DropPolicy.
 func (r RandomDrops) Drop(round, from, to int) bool {
 	h := int64(round)*1_000_003 + int64(from)*10_007 + int64(to)
-	rng := rand.New(rand.NewSource(r.Seed ^ h))
-	return rng.Float64() < r.Prob
+	return prand.Float64(r.Seed^h) < r.Prob
 }
 
 // DropBatch implements BatchDropPolicy. Each pair's verdict is the same
@@ -407,8 +410,7 @@ func (r RandomDrops) Drop(round, from, to int) bool {
 func (r RandomDrops) DropBatch(round, toSlot int, fromSlots []int32, drop []bool) {
 	partial := int64(round)*1_000_003 + int64(toSlot)
 	for i, from := range fromSlots {
-		rng := rand.New(rand.NewSource(r.Seed ^ (partial + int64(from)*10_007)))
-		if rng.Float64() < r.Prob {
+		if prand.Float64(r.Seed^(partial+int64(from)*10_007)) < r.Prob {
 			drop[i] = true
 		}
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -73,6 +74,9 @@ func TestMapNActuallyParallel(t *testing.T) {
 	}
 	var inFlight, peak atomic.Int64
 	gate := make(chan struct{})
+	// Later items bring inFlight back to 4 after the gate is open, so
+	// the close must happen once.
+	var open sync.Once
 	_, err := MapN(8, 4, func(i int) (int, error) {
 		cur := inFlight.Add(1)
 		for {
@@ -82,7 +86,7 @@ func TestMapNActuallyParallel(t *testing.T) {
 			}
 		}
 		if cur == 4 {
-			close(gate) // all four workers active at once
+			open.Do(func() { close(gate) }) // all four workers active at once
 		}
 		<-gate
 		inFlight.Add(-1)

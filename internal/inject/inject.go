@@ -30,8 +30,9 @@ package inject
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
+
+	"homonyms/internal/prand"
 )
 
 // Crash takes a correct slot down at the start of Round: while down, the
@@ -95,8 +96,7 @@ func (o Omission) loses(round, from, to int) bool {
 		return true
 	}
 	h := int64(round)*1_000_003 + int64(from)*10_007 + int64(to)
-	rng := rand.New(rand.NewSource(o.Seed ^ h))
-	return rng.Float64() < o.Prob
+	return prand.Float64(o.Seed^h) < o.Prob
 }
 
 // Duplicate delivers the message from FromSlot to ToSlot twice in the
@@ -167,8 +167,7 @@ func (d Delay) holds(round, from, to int) bool {
 		return true
 	}
 	h := int64(round)*1_000_003 + int64(from)*10_007 + int64(to)
-	rng := rand.New(rand.NewSource(d.Seed ^ h))
-	return rng.Float64() < d.Prob
+	return prand.Float64(d.Seed^h) < d.Prob
 }
 
 // Reorder is a one-round overtake on the FromSlot -> ToSlot link: the

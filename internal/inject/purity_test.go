@@ -258,3 +258,68 @@ func TestStalledWindows(t *testing.T) {
 		t.Fatal("timing faults must be simulable in the unrestricted model")
 	}
 }
+
+// drawRef is the naive reference for the probabilistic omission and
+// delay draws: a math/rand source built per query from the hashed seed,
+// which is what the production code did before it switched to the
+// closed form of package prand.
+func drawRef(seed int64, prob float64, round, from, to int) bool {
+	h := int64(round)*1_000_003 + int64(from)*10_007 + int64(to)
+	return rand.New(rand.NewSource(seed^h)).Float64() < prob
+}
+
+// TestProbabilisticDrawsMatchReference pins Omission.loses and
+// Delay.holds to the naive reference on every probabilistic query.
+func TestProbabilisticDrawsMatchReference(t *testing.T) {
+	const n = 7
+	for _, seed := range []int64{0, 1, -1, 7, 89482311, 1<<31 - 1, -(1<<31 - 1), 1<<63 - 1, -1 << 63} {
+		for _, prob := range []float64{0.05, 0.4, 0.5, 0.95} {
+			for round := 1; round <= 10; round++ {
+				for from := 0; from < n; from++ {
+					for to := 0; to < n; to++ {
+						if from == to {
+							continue
+						}
+						want := drawRef(seed, prob, round, from, to)
+						o := Omission{Slot: from, Send: true, Prob: prob, Seed: seed}
+						if got := o.loses(round, from, to); got != want {
+							t.Fatalf("seed %d prob %v: loses(%d,%d,%d) = %v, want %v",
+								seed, prob, round, from, to, got, want)
+						}
+						d := Delay{FromSlot: from, ToSlot: to, Prob: prob, Seed: seed}
+						if got := d.holds(round, from, to); got != want {
+							t.Fatalf("seed %d prob %v: holds(%d,%d,%d) = %v, want %v",
+								seed, prob, round, from, to, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestProbabilisticDrawsDoNotAllocate(t *testing.T) {
+	o := Omission{Slot: 1, Send: true, Prob: 0.4, Seed: 7}
+	d := Delay{FromSlot: 1, ToSlot: 2, Prob: 0.5, Seed: 1}
+	round := 0
+	if a := testing.AllocsPerRun(200, func() {
+		round++
+		o.loses(round, 1, 2)
+		d.holds(round, 1, 2)
+	}); a != 0 {
+		t.Fatalf("omission/delay draws allocate %v times per query, want 0", a)
+	}
+}
+
+var lostSink int
+
+func BenchmarkOmissionLoses(b *testing.B) {
+	const n = 16
+	o := Omission{Slot: 3, Send: true, Prob: 0.4, Seed: 7}
+	b.ReportAllocs()
+	for i := range b.N {
+		if o.loses(1+i/n, 3, i%n) {
+			lostSink++
+		}
+	}
+}
