@@ -669,7 +669,7 @@ func measureRouterFill(reception engine.ReceptionMode) metric {
 	isBad := make([]bool, n)
 	var stats engine.Stats
 	intern := msg.NewInterner()
-	router := engine.NewRouter(&cfg, isBad, &stats, intern, false, nil)
+	router := engine.NewRouter(&cfg, isBad, &stats, intern, false, nil, false)
 	sends := make([][]msg.Send, n)
 	for s := range sends {
 		sends[s] = []msg.Send{msg.Broadcast(floodPayload{slot: s})}

@@ -440,12 +440,36 @@ func (r *Result) IsFaulted(slot int) bool {
 // faulted — the processes the agreement properties quantify over.
 func (r *Result) CorrectSlots() []int {
 	out := make([]int, 0, len(r.Decisions)-len(r.Corrupted))
-	for s := range r.Decisions {
-		if !r.IsCorrupted(s) && !r.IsFaulted(s) {
-			out = append(out, s)
-		}
+	for s := range r.CorrectSlotsSeq {
+		out = append(out, s)
 	}
 	return out
+}
+
+// CorrectSlotsSeq walks CorrectSlots in ascending order without
+// building the slice: one pass over the slots that steps through the
+// sorted Corrupted and Faulted lists alongside. The method value is an
+// iter.Seq[int], so callers write
+//
+//	for s := range res.CorrectSlotsSeq { ... }
+//
+// and, ranged over in place like this, the walk allocates nothing.
+func (r *Result) CorrectSlotsSeq(yield func(int) bool) {
+	bad, faulted := r.Corrupted, r.Faulted
+	for s := range r.Decisions {
+		for len(bad) > 0 && bad[0] < s {
+			bad = bad[1:]
+		}
+		for len(faulted) > 0 && faulted[0] < s {
+			faulted = faulted[1:]
+		}
+		if (len(bad) > 0 && bad[0] == s) || (len(faulted) > 0 && faulted[0] == s) {
+			continue
+		}
+		if !yield(s) {
+			return
+		}
+	}
 }
 
 // Engine holds one assembled execution: configuration, time model, state
@@ -462,22 +486,26 @@ type Engine struct {
 	res       *Result
 	observer  Observer
 	deadline  time.Time
+	undecided int // correct slots not yet decided; AllCorrectDecided is O(1)
 
 	// Per-round scratch, allocated once and reused across rounds so the
 	// steady-state hot path is allocation-free (modulo what processes and
 	// adversaries themselves allocate). Routing scratch (send arena,
 	// per-recipient batches, delivery indices) lives in the Router,
 	// shared by every state representation.
-	correctSends [][]msg.Send         // per sender slot; nil when silent
-	byzSends     [][]msg.TargetedSend // per sender slot; only corrupted used
+	correctSends [][]msg.Send         // per sender slot; nil when silent; unallocated when classRouted
+	byzSends     [][]msg.TargetedSend // per sender slot; only corrupted used; unallocated when classRouted
 	senders      []int32              // the View's sender index, rebuilt per round
 	groups       [][]int32            // the View's per-identifier correct members, execution-fixed
 	view         View                 // handed to the adversary each round
 	router       *Router              // stamping, batching, delivery, stats
 	intern       *msg.Interner        // per-execution key symbolization table
 	ownIntern    bool                 // the engine pooled it and must recycle it
-	inj          *inject.Injector     // compiled fault schedule, nil when fault-free
-	slotHash     []msg.StateHash      // per-slot observable-history hashes (FrontierHash)
+	// classRouted sits in ownIntern's padding: one more word would push
+	// Engine (plus its malloc header) into the next allocation size class.
+	classRouted bool             // counting fast path (countingFastPath): no per-slot send or routing scratch
+	inj         *inject.Injector // compiled fault schedule, nil when fault-free
+	slotHash    []msg.StateHash  // per-slot observable-history hashes (FrontierHash)
 }
 
 // newEngine builds the execution state for a validated Config.
@@ -558,19 +586,7 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 			e.res.Faulted = append(e.res.Faulted, s)
 		}
 	}
-	e.correctSends = make([][]msg.Send, n)
-	e.byzSends = make([][]msg.TargetedSend, n)
-	if cfg.Adversary != nil && len(e.corrupted) > 0 {
-		e.senders = make([]int32, 0, n)
-		e.groups = groupMembers(cfg.Params, e.res.Assignment, e.isBad)
-	}
-	if cfg.Interner != nil {
-		e.intern = cfg.Interner
-		e.intern.Reset()
-	} else {
-		e.intern = msg.NewPooledInterner()
-		e.ownIntern = true
-	}
+	e.undecided = n - len(e.corrupted)
 	var policy TimingPolicy
 	if tmodel, ok := tm.(TimingModel); ok {
 		policy = tmodel.Timing()
@@ -582,6 +598,22 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 	if inj.HasTiming() && !policy.Enabled {
 		return nil, fmt.Errorf("%w (model %q)", ErrTimingFaults, tm.Describe())
 	}
+	e.classRouted = countingFastPath(rep, &cfg, policy)
+	if !e.classRouted {
+		e.correctSends = make([][]msg.Send, n)
+		e.byzSends = make([][]msg.TargetedSend, n)
+	}
+	if cfg.Adversary != nil && len(e.corrupted) > 0 {
+		e.senders = make([]int32, 0, n)
+		e.groups = groupMembers(cfg.Params, e.res.Assignment, e.isBad)
+	}
+	if cfg.Interner != nil {
+		e.intern = cfg.Interner
+		e.intern.Reset()
+	} else {
+		e.intern = msg.NewPooledInterner()
+		e.ownIntern = true
+	}
 	if cfg.FrontierHash {
 		e.slotHash = make([]msg.StateHash, n)
 		for s := range e.slotHash {
@@ -589,7 +621,7 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 		}
 	}
 	record := cfg.RecordTraffic || e.observer != nil || cfg.FrontierHash
-	e.router = NewRouter(&e.cfg, e.isBad, &e.res.Stats, e.intern, record, e.inj)
+	e.router = NewRouter(&e.cfg, e.isBad, &e.res.Stats, e.intern, record, e.inj, e.classRouted)
 	if policy.Enabled {
 		e.router.EnableTiming(policy)
 	}
@@ -631,14 +663,7 @@ func (e *Engine) MaxRounds() int { return e.cfg.MaxRounds }
 func (e *Engine) ExtraRounds() int { return e.cfg.ExtraRounds }
 
 // AllCorrectDecided reports whether every non-corrupted slot has decided.
-func (e *Engine) AllCorrectDecided() bool {
-	for s := 0; s < e.n; s++ {
-		if !e.isBad[s] && e.res.DecidedAt[s] == 0 {
-			return false
-		}
-	}
-	return true
-}
+func (e *Engine) AllCorrectDecided() bool { return e.undecided == 0 }
 
 // Exhausted checks the execution budgets after a round; when one is
 // spent it records the stop reason on the Result and reports true.
@@ -796,6 +821,9 @@ func (e *Engine) RecordDecision(slot int, v hom.Value, decided bool, round int) 
 	if decided && e.res.DecidedAt[slot] == 0 {
 		e.res.Decisions[slot] = v
 		e.res.DecidedAt[slot] = round
+		if round != 0 && !e.isBad[slot] {
+			e.undecided--
+		}
 	}
 }
 

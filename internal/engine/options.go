@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"time"
 
 	"homonyms/internal/hom"
@@ -26,14 +28,37 @@ var (
 	ErrBadOption = errors.New("engine: invalid option value")
 )
 
+// knob names one single-valued option; settings.seen holds one bit per
+// knob registered so far.
+type knob uint16
+
+const (
+	knobParams knob = 1 << iota
+	knobAssignment
+	knobInputs
+	knobAdversary
+	knobGST
+	knobRounds
+	knobExtraRounds
+	knobDelivery
+	knobReception
+	knobFaults
+	knobBudget
+	knobInterner
+	knobTimeModel
+	knobStateRep
+)
+
 // settings accumulates the options before validation. Each knob that
-// must be single-valued registers under a name in seen; a second
-// registration with a different rendered value is a conflict.
+// must be single-valued registers its bit in seen; a second
+// registration is compared with the value the knob holds and conflicts
+// when they differ. Nothing is rendered unless a conflict is reported,
+// so assembling an execution costs O(1) in n.
 type settings struct {
 	cfg  Config
 	tm   TimeModel
 	rep  StateRep
-	seen map[string]string
+	seen knob
 	errs []error
 }
 
@@ -42,15 +67,52 @@ type Option func(*settings)
 
 func (s *settings) fail(err error) { s.errs = append(s.errs, err) }
 
-// once registers a single-valued knob; a repeat with a different value
-// records an ErrConflictingOptions.
-func (s *settings) once(knob, value string) bool {
-	if prev, ok := s.seen[knob]; ok && prev != value {
-		s.fail(fmt.Errorf("%w: %s set to both %s and %s", ErrConflictingOptions, knob, prev, value))
+// setOnce stores v into the single-valued knob dst on its first
+// registration. A repeat is idempotent when equal reports v equal to the
+// knob's current value, and otherwise records an ErrConflictingOptions
+// naming both values, keeping the first. equal runs on repeats only, so
+// a slice knob pays its O(n) comparison only when it is set twice.
+func setOnce[T any](s *settings, k knob, name string, dst *T, v T, equal func(a, b T) bool) {
+	if s.seen&k == 0 {
+		s.seen |= k
+		*dst = v
+		return
+	}
+	if !equal(*dst, v) {
+		s.fail(fmt.Errorf("%w: %s set to both %v and %v", ErrConflictingOptions, name, *dst, v))
+	}
+}
+
+// same is equality for comparable knobs.
+func same[T comparable](a, b T) bool { return a == b }
+
+// sameParams compares model instances field by field and the value
+// domain by content.
+func sameParams(a, b hom.Params) bool {
+	return a.N == b.N && a.L == b.L && a.T == b.T && a.Synchrony == b.Synchrony &&
+		a.Numerate == b.Numerate && a.RestrictedByzantine == b.RestrictedByzantine &&
+		slices.Equal(a.Domain, b.Domain)
+}
+
+// sameDescribed compares time models and state representations by
+// their Describe rendering, which names every knob that shapes them.
+func sameDescribed[T interface{ Describe() string }](a, b T) bool {
+	return a.Describe() == b.Describe()
+}
+
+// sameAdversary compares adversaries by identity: pointers must be the
+// same pointer, and comparable values equal. A non-comparable value
+// (say, a struct holding a slice, passed by value) falls back to deep
+// equality, which is what equal renderings meant before.
+func sameAdversary(a, b Adversary) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	if va.Type() != vb.Type() {
 		return false
 	}
-	s.seen[knob] = value
-	return true
+	if va.Comparable() && vb.Comparable() {
+		return va.Equal(vb)
+	}
+	return reflect.DeepEqual(a, b)
 }
 
 // New assembles and validates one execution. Defaults: batched
@@ -62,7 +124,7 @@ func (s *settings) once(knob, value string) bool {
 // cap) then runs in the same order the legacy sim.Run used, so the
 // deprecated adapters surface identical errors.
 func New(opts ...Option) (*Engine, error) {
-	s := &settings{seen: make(map[string]string)}
+	s := &settings{}
 	for _, opt := range opts {
 		if opt == nil {
 			s.fail(fmt.Errorf("%w: nil Option", ErrNilOption))
@@ -125,27 +187,21 @@ func FromConfig(cfg Config) Option {
 // WithParams fixes the model instance (n, l, t, synchrony, switches).
 func WithParams(p hom.Params) Option {
 	return func(s *settings) {
-		if s.once("Params", fmt.Sprintf("%+v", p)) {
-			s.cfg.Params = p
-		}
+		setOnce(s, knobParams, "Params", &s.cfg.Params, p, sameParams)
 	}
 }
 
 // WithAssignment maps slots to identifiers.
 func WithAssignment(a hom.Assignment) Option {
 	return func(s *settings) {
-		if s.once("Assignment", fmt.Sprintf("%v", a)) {
-			s.cfg.Assignment = a
-		}
+		setOnce(s, knobAssignment, "Assignment", &s.cfg.Assignment, a, slices.Equal)
 	}
 }
 
 // WithInputs supplies one proposal per slot.
 func WithInputs(inputs ...hom.Value) Option {
 	return func(s *settings) {
-		if s.once("Inputs", fmt.Sprintf("%v", inputs)) {
-			s.cfg.Inputs = inputs
-		}
+		setOnce(s, knobInputs, "Inputs", &s.cfg.Inputs, inputs, slices.Equal)
 	}
 }
 
@@ -165,9 +221,7 @@ func WithAdversary(adv Adversary) Option {
 			s.fail(fmt.Errorf("%w: WithAdversary(nil)", ErrNilOption))
 			return
 		}
-		if s.once("Adversary", fmt.Sprintf("%p", adv)) {
-			s.cfg.Adversary = adv
-		}
+		setOnce(s, knobAdversary, "Adversary", &s.cfg.Adversary, adv, sameAdversary)
 	}
 }
 
@@ -175,18 +229,14 @@ func WithAdversary(adv Adversary) Option {
 // synchronous model); values below 1 are clamped to 1.
 func WithGST(round int) Option {
 	return func(s *settings) {
-		if s.once("GST", fmt.Sprintf("%d", round)) {
-			s.cfg.GST = round
-		}
+		setOnce(s, knobGST, "GST", &s.cfg.GST, round, same)
 	}
 }
 
 // WithRounds caps the execution. Required (> 0).
 func WithRounds(maxRounds int) Option {
 	return func(s *settings) {
-		if s.once("Rounds", fmt.Sprintf("%d", maxRounds)) {
-			s.cfg.MaxRounds = maxRounds
-		}
+		setOnce(s, knobRounds, "Rounds", &s.cfg.MaxRounds, maxRounds, same)
 	}
 }
 
@@ -194,9 +244,7 @@ func WithRounds(maxRounds int) Option {
 // decided (see Config.ExtraRounds).
 func WithExtraRounds(extra int) Option {
 	return func(s *settings) {
-		if s.once("ExtraRounds", fmt.Sprintf("%d", extra)) {
-			s.cfg.ExtraRounds = extra
-		}
+		setOnce(s, knobExtraRounds, "ExtraRounds", &s.cfg.ExtraRounds, extra, same)
 	}
 }
 
@@ -229,9 +277,7 @@ func WithDelivery(m DeliveryMode) Option {
 			s.fail(fmt.Errorf("%w: unknown DeliveryMode %d", ErrBadOption, m))
 			return
 		}
-		if s.once("Delivery", fmt.Sprintf("%d", m)) {
-			s.cfg.Delivery = m
-		}
+		setOnce(s, knobDelivery, "Delivery", &s.cfg.Delivery, m, same)
 	}
 }
 
@@ -242,9 +288,7 @@ func WithReception(m ReceptionMode) Option {
 			s.fail(fmt.Errorf("%w: unknown ReceptionMode %d", ErrBadOption, m))
 			return
 		}
-		if s.once("Reception", fmt.Sprintf("%d", m)) {
-			s.cfg.Reception = m
-		}
+		setOnce(s, knobReception, "Reception", &s.cfg.Reception, m, same)
 	}
 }
 
@@ -256,9 +300,7 @@ func WithFaults(schedule *inject.Schedule) Option {
 			s.fail(fmt.Errorf("%w: WithFaults(nil)", ErrNilOption))
 			return
 		}
-		if s.once("Faults", fmt.Sprintf("%p", schedule)) {
-			s.cfg.Faults = schedule
-		}
+		setOnce(s, knobFaults, "Faults", &s.cfg.Faults, schedule, same)
 	}
 }
 
@@ -276,10 +318,15 @@ func WithBudget(maxSends int, deadline time.Duration) Option {
 			s.fail(fmt.Errorf("%w: WithBudget(%d, %s)", ErrBadOption, maxSends, deadline))
 			return
 		}
-		if s.once("Budget", fmt.Sprintf("%d/%s", maxSends, deadline)) {
-			s.cfg.MaxSends = maxSends
-			s.cfg.Deadline = deadline
+		// The two halves are one knob: a repeat must match both.
+		if s.seen&knobBudget != 0 && (s.cfg.MaxSends != maxSends || s.cfg.Deadline != deadline) {
+			s.fail(fmt.Errorf("%w: Budget set to both %d/%s and %d/%s", ErrConflictingOptions,
+				s.cfg.MaxSends, s.cfg.Deadline, maxSends, deadline))
+			return
 		}
+		s.seen |= knobBudget
+		s.cfg.MaxSends = maxSends
+		s.cfg.Deadline = deadline
 	}
 }
 
@@ -291,9 +338,7 @@ func WithInterner(table *msg.Interner) Option {
 			s.fail(fmt.Errorf("%w: WithInterner(nil)", ErrNilOption))
 			return
 		}
-		if s.once("Interner", fmt.Sprintf("%p", table)) {
-			s.cfg.Interner = table
-		}
+		setOnce(s, knobInterner, "Interner", &s.cfg.Interner, table, same)
 	}
 }
 
@@ -304,9 +349,7 @@ func WithTimeModel(tm TimeModel) Option {
 			s.fail(fmt.Errorf("%w: WithTimeModel(nil)", ErrNilOption))
 			return
 		}
-		if s.once("TimeModel", tm.Describe()) {
-			s.tm = tm
-		}
+		setOnce(s, knobTimeModel, "TimeModel", &s.tm, tm, sameDescribed)
 	}
 }
 
@@ -317,8 +360,6 @@ func WithStateRep(rep StateRep) Option {
 			s.fail(fmt.Errorf("%w: WithStateRep(nil)", ErrNilOption))
 			return
 		}
-		if s.once("StateRep", rep.Describe()) {
-			s.rep = rep
-		}
+		setOnce(s, knobStateRep, "StateRep", &s.rep, rep, sameDescribed)
 	}
 }

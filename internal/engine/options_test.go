@@ -80,6 +80,22 @@ func TestNewConflictingOptions(t *testing.T) {
 			engine.WithStateRep(engine.Concrete()),
 			engine.WithStateRep(engine.ConcurrentConcrete()),
 		}},
+		// base sets N=4, L=4, synchronous, the default domain.
+		{"params", []engine.Option{
+			engine.WithParams(hom.Params{N: 4, L: 2, T: 0, Synchrony: hom.Synchronous}),
+		}},
+		{"params-domain", []engine.Option{
+			engine.WithParams(hom.Params{N: 4, L: 4, T: 0, Synchrony: hom.Synchronous, Domain: []hom.Value{0, 1, 2}}),
+		}},
+		// base assigns round-robin over 4 identifiers and inputs 0,1,0,1.
+		{"assignment", []engine.Option{
+			engine.WithAssignment(hom.Assignment{2, 3, 4, 1}),
+		}},
+		{"assignment-length", []engine.Option{
+			engine.WithAssignment(hom.RoundRobinAssignment(5, 4)),
+		}},
+		{"inputs", []engine.Option{engine.WithInputs(0, 1, 1, 1)}},
+		{"inputs-length", []engine.Option{engine.WithInputs(0, 1, 0)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,9 +113,41 @@ func TestNewRepeatedOptionSameValueIsIdempotent(t *testing.T) {
 		engine.WithDelivery(engine.DeliverBatched),
 		engine.WithGST(1),
 		engine.WithGST(1),
+		// Equal contents behind distinct backing arrays are the same
+		// value: slice knobs compare by content, not identity.
+		engine.WithParams(hom.Params{N: 4, L: 4, T: 0, Synchrony: hom.Synchronous}),
+		engine.WithAssignment(append(hom.Assignment(nil), hom.RoundRobinAssignment(4, 4)...)),
+		engine.WithInputs(append([]hom.Value(nil), 0, 1, 0, 1)...),
+		engine.WithInputs(0, 1, 0, 1),
 	)
 	if _, err := engine.New(opts...); err != nil {
 		t.Fatalf("repeating an option with the same value must not conflict: %v", err)
+	}
+}
+
+// TestNewAdversaryRepeat pins the adversary knob's equality: a pointer
+// repeats idempotently only as the same pointer, and a value adversary
+// (here non-comparable: it holds maps) when deeply equal.
+func TestNewAdversaryRepeat(t *testing.T) {
+	ptr := &targetRounds{bad: 1}
+	cases := []struct {
+		name     string
+		a, b     engine.Adversary
+		conflict bool
+	}{
+		{"same-pointer", ptr, ptr, false},
+		{"distinct-pointers", ptr, &targetRounds{bad: 1}, true},
+		{"equal-values", targetRounds{bad: 1}, targetRounds{bad: 1}, false},
+		{"different-values", targetRounds{bad: 1}, targetRounds{bad: 2}, true},
+		{"different-types", ptr, targetRounds{bad: 1}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := engine.New(append(baseOptions(), engine.WithAdversary(tc.a), engine.WithAdversary(tc.b))...)
+			if got := errors.Is(err, engine.ErrConflictingOptions); got != tc.conflict {
+				t.Fatalf("conflict = %v, want %v (err %v)", got, tc.conflict, err)
+			}
+		})
 	}
 }
 

@@ -120,6 +120,14 @@ type Router struct {
 	isBad      []bool
 	intern     *msg.Interner
 
+	// classRouted: the counting representation stamps and routes every
+	// round per class (countingFastPath), so the router is only a stamp
+	// arena and a statistics sink. The per-slot routing scratch below
+	// (pend, rawIdx, perRecip, groups and the reception classifier's
+	// arrays) stays nil, BeginRound resets only the arena and the send
+	// columns, and Flush has nothing to do.
+	classRouted bool
+
 	// Fault injection (package inject). inj is nil in fault-free
 	// executions; every query it answers is a pure function of
 	// (round, from, to), which is what keeps the two delivery modes, the
@@ -197,32 +205,39 @@ type Router struct {
 // for a fault-free execution) — the engine compiles it so validation
 // errors surface from Run, and shares it with the router so process
 // faults (crash windows) and link faults (omission, duplication,
-// replay) come from one source.
-func NewRouter(cfg *Config, isBad []bool, stats *Stats, intern *msg.Interner, record bool, inj *inject.Injector) *Router {
+// replay) come from one source. classRouted selects the counting fast
+// path (see Router.classRouted); the engine decides it with
+// countingFastPath, which rules out every knob that needs per-slot
+// routing.
+func NewRouter(cfg *Config, isBad []bool, stats *Stats, intern *msg.Interner, record bool, inj *inject.Injector, classRouted bool) *Router {
 	n := cfg.Params.N
 	r := &Router{
-		n:          n,
-		params:     cfg.Params,
-		assignment: cfg.Assignment,
-		visibility: cfg.Visibility,
-		adv:        cfg.Adversary,
-		gst:        cfg.GST,
-		mode:       cfg.Delivery,
-		reception:  cfg.Reception,
-		record:     record,
-		stats:      stats,
-		isBad:      isBad,
-		intern:     intern,
-		pend:       make([][]int32, n),
-		rawIdx:     make([][]int32, n),
-		perRecip:   make([]int, n),
-		groups:     make([][]int32, cfg.Params.L),
-		shareRep:   make([]int32, n),
-		classSize:  make([]int32, n),
-		classGI:    make([]*msg.GroupInbox, n),
-		dirty:      make([]bool, n),
-		recStride:  (n + 63) / 64,
+		n:           n,
+		params:      cfg.Params,
+		assignment:  cfg.Assignment,
+		visibility:  cfg.Visibility,
+		adv:         cfg.Adversary,
+		gst:         cfg.GST,
+		mode:        cfg.Delivery,
+		reception:   cfg.Reception,
+		record:      record,
+		stats:       stats,
+		isBad:       isBad,
+		intern:      intern,
+		classRouted: classRouted,
+		recStride:   (n + 63) / 64,
 	}
+	if classRouted {
+		return r
+	}
+	r.pend = make([][]int32, n)
+	r.rawIdx = make([][]int32, n)
+	r.perRecip = make([]int, n)
+	r.groups = make([][]int32, cfg.Params.L)
+	r.shareRep = make([]int32, n)
+	r.classSize = make([]int32, n)
+	r.classGI = make([]*msg.GroupInbox, n)
+	r.dirty = make([]bool, n)
 	for slot, id := range cfg.Assignment {
 		if !isBad[slot] && id.IsValid(cfg.Params.L) {
 			r.groups[id-1] = append(r.groups[id-1], int32(slot))
@@ -277,6 +292,12 @@ func (r *Router) SlotStalled(slot, round int) bool {
 // inbox views from the previous round become invalid.
 func (r *Router) BeginRound(round int) {
 	r.round = round
+	r.arena.Reset()
+	r.sendFrom = r.sendFrom[:0]
+	r.sendKeyLen = r.sendKeyLen[:0]
+	if r.classRouted {
+		return
+	}
 	r.dropsOK = r.adv != nil &&
 		r.params.Synchrony == hom.PartiallySynchronous && round < r.gst
 	r.perMsg = r.mode == DeliverPerMessage
@@ -292,9 +313,6 @@ func (r *Router) BeginRound(round int) {
 		clear(r.issued)
 		clear(r.viewsIssued)
 	}
-	r.arena.Reset()
-	r.sendFrom = r.sendFrom[:0]
-	r.sendKeyLen = r.sendKeyLen[:0]
 	r.deliveries = r.deliveries[:0]
 	for to := 0; to < r.n; to++ {
 		r.pend[to] = r.pend[to][:0]
@@ -719,8 +737,13 @@ func (r *Router) flushOwn(to int) {
 // zero BatchDropper probes for the whole group), and otherwise are
 // probed once each and compared, falling back to their own batch when
 // the masks diverge. Per-message mode already delivered inline, so Flush
-// only has work in batched mode.
+// only has work in batched mode. On the class-routed path the counting
+// representation has already stamped and counted the round, so Flush
+// returns at once.
 func (r *Router) Flush() {
+	if r.classRouted {
+		return
+	}
 	if r.hasReplays && r.injRound {
 		r.injectReplays()
 	}

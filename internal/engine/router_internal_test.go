@@ -25,7 +25,7 @@ func newRouterHarness(t *testing.T, cfg Config, corrupted []int) *routerHarness 
 		h.isBad[s] = true
 	}
 	h.intern = msg.NewInterner()
-	h.r = NewRouter(&h.cfg, h.isBad, &h.stats, h.intern, cfg.RecordTraffic, nil)
+	h.r = NewRouter(&h.cfg, h.isBad, &h.stats, h.intern, cfg.RecordTraffic, nil, false)
 	return h
 }
 
@@ -276,5 +276,95 @@ func TestClassifierVisibilityDivergence(t *testing.T) {
 	if h.r.SharedWith(0) != 0 || h.r.SharedWith(4) != 0 {
 		t.Fatalf("unrestricted homonyms stopped sharing: %d, %d",
 			h.r.SharedWith(0), h.r.SharedWith(4))
+	}
+}
+
+// cloneEcho is a cloneable broadcaster for the internal tests: it
+// broadcasts its input every round and decides it after round 2.
+type cloneEcho struct {
+	input hom.Value
+	ready bool
+}
+
+func (p *cloneEcho) Init(ctx Context) { p.input = ctx.Input }
+func (p *cloneEcho) Prepare(int) []msg.Send {
+	return []msg.Send{msg.Broadcast(msg.Raw("echo|" + itoaTest(int(p.input))))}
+}
+func (p *cloneEcho) Receive(round int, _ *msg.Inbox) { p.ready = round >= 2 }
+func (p *cloneEcho) Decision() (hom.Value, bool)     { return p.input, p.ready }
+func (p *cloneEcho) CloneProcess() Process {
+	cp := *p
+	return &cp
+}
+
+// TestCountingFastPathBuildsNoSlotScratch pins the class-routed fast
+// path's memory contract white-box: under Counting with nothing that
+// can diverge a class, the engine holds no per-slot send scratch and
+// the Router no per-slot routing scratch. Anything that forces per-slot
+// routing — an invariant audit, traffic recording, the
+// eventually-synchronous time model, or a non-counting representation —
+// gets all of it. Each engine runs to completion, so the fast path's
+// BeginRound and Flush are exercised over the nil scratch.
+func TestCountingFastPathBuildsNoSlotScratch(t *testing.T) {
+	const n, l = 24, 3
+	inputs := make([]hom.Value, n)
+	for s := range inputs {
+		inputs[s] = hom.Value(s % 2)
+	}
+	cases := []struct {
+		name string
+		fast bool
+		opts []Option
+	}{
+		{"counting", true, []Option{WithStateRep(Counting())}},
+		{"counting-limited", true, []Option{WithStateRep(CountingLimited(2 * n))}},
+		{"counting-invariants", false, []Option{WithStateRep(Counting()), WithInvariants()}},
+		{"counting-recording", false, []Option{WithStateRep(Counting()), WithTrafficRecording()}},
+		{"counting-esync", false, []Option{WithStateRep(Counting()), WithTimeModel(EventuallySynchronous{})}},
+		{"concrete", false, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := append([]Option{
+				WithParams(hom.Params{N: n, L: l, T: 0, Synchrony: hom.Synchronous}),
+				WithAssignment(hom.RoundRobinAssignment(n, l)),
+				WithInputs(inputs...),
+				WithProcess(func(int) Process { return &cloneEcho{} }),
+				WithRounds(4),
+			}, tc.opts...)
+			e, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.classRouted != tc.fast {
+				t.Fatalf("classRouted = %v, want %v", e.classRouted, tc.fast)
+			}
+			rt := e.router
+			slotScratch := map[string]bool{
+				"correctSends": e.correctSends != nil,
+				"byzSends":     e.byzSends != nil,
+				"pend":         rt.pend != nil,
+				"rawIdx":       rt.rawIdx != nil,
+				"perRecip":     rt.perRecip != nil,
+				"groups":       rt.groups != nil,
+				"shareRep":     rt.shareRep != nil,
+				"classSize":    rt.classSize != nil,
+				"classGI":      rt.classGI != nil,
+				"dirty":        rt.dirty != nil,
+			}
+			for name, allocated := range slotScratch {
+				if allocated == tc.fast {
+					t.Errorf("%s allocated = %v on a path with classRouted = %v", name, allocated, tc.fast)
+				}
+			}
+			res, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.AllDecided || res.Stats.MessagesSent != n*n*res.Rounds {
+				t.Fatalf("AllDecided = %v, MessagesSent = %d after %d rounds, want true and %d",
+					res.AllDecided, res.Stats.MessagesSent, res.Rounds, n*n*res.Rounds)
+			}
+		})
 	}
 }

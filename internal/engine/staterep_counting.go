@@ -114,6 +114,10 @@ type countClass struct {
 	members []int32
 	sends   []msg.Send // fast path: the current round's sends
 	halted  bool       // slow path: the class takes no step this round
+	// decided: every member's decision is recorded, so the class is
+	// polled no more (decisions are irrevocable). Splits inherit it;
+	// a merge keeps it only when both sides had it.
+	decided bool
 }
 
 // fillCache is the cross-round fill cache of one identifier group on
@@ -139,14 +143,18 @@ type fillCache struct {
 // and re-unify when their states re-converge (msg.StateHash over the
 // protocol state).
 //
-// Two execution paths are selected statically at Start:
+// Two execution paths are selected statically, by countingFastPath when
+// the engine is built:
 //
 //   - Fast path (no adversary, no faults, no visibility restriction, no
 //     recording, no invariants, no timing): classes can never diverge,
 //     so the representation routes the round itself — one stamp per
 //     class per send, multiplied through the class multiplicity into
 //     the statistics — and delivers one weighted inbox per identifier
-//     group (msg.NewPooledInboxWeighted), cached across rounds.
+//     group (msg.NewPooledInboxWeighted), cached across rounds. A round
+//     costs O(classes): the engine allocates no per-slot send scratch,
+//     the Router no per-slot routing scratch, and each class records
+//     its members' decisions once.
 //   - Slow path (anything that can diverge class members): sends are
 //     registered per member slot and routed by the engine's normal
 //     Router path, so every mask, fault and timing rule applies
@@ -162,7 +170,7 @@ type countingRep struct {
 	e          *Engine
 	maxClasses int
 	collapse   bool // processes implement Cloner: classes can span slots
-	fast       bool // static fast path for the whole execution
+	fast       bool // static fast path for the whole execution (Engine.classRouted)
 	err        error
 	classes    []*countClass // ascending by leader slot
 
@@ -198,6 +206,23 @@ func (r *countingRep) Describe() string {
 
 func (r *countingRep) ownsProcesses() {}
 
+// countingFastPath reports whether an execution takes the counting
+// representation's class-routed fast path. It is sound exactly when no
+// event in the execution can diverge two members of a class or observe
+// per-slot routing: no adversary, faults or visibility restriction;
+// no traffic records, frontier hashes (both are per (send, recipient)
+// pair) or invariant checks (they audit per-slot routing); and no
+// timing machinery, which holds deliveries per link, so an
+// eventually-synchronous execution is never fast. newEngine decides it
+// once, before the Router is built, and countingRep.Start reads it.
+func countingFastPath(rep StateRep, cfg *Config, policy TimingPolicy) bool {
+	if _, ok := rep.(roundRouter); !ok {
+		return false
+	}
+	return cfg.Adversary == nil && cfg.Visibility == nil && cfg.Faults == nil &&
+		!cfg.RecordTraffic && !cfg.FrontierHash && !cfg.Invariants && !policy.Enabled
+}
+
 // Err implements repFailer.
 func (r *countingRep) Err() error { return r.err }
 
@@ -225,32 +250,10 @@ func (r *countingRep) Start(e *Engine) error {
 	}
 	_, r.collapse = p0.(Cloner)
 
-	// Static path selection: the fast path is sound exactly when no
-	// event in this execution can diverge two members of a class or
-	// observe per-slot routing (traffic records and frontier hashes are
-	// per (send, recipient) pair).
-	r.fast = cfg.Adversary == nil && cfg.Visibility == nil && cfg.Faults == nil &&
-		!cfg.RecordTraffic && !cfg.FrontierHash && !cfg.Invariants && !e.router.timing
+	r.fast = e.classRouted
 
 	if r.collapse {
-		type classKey struct {
-			id hom.Identifier
-			in hom.Value
-		}
-		byKey := make(map[classKey]*countClass)
-		for s := 0; s < n; s++ {
-			if e.isBad[s] {
-				continue
-			}
-			k := classKey{cfg.Assignment[s], cfg.Inputs[s]}
-			c := byKey[k]
-			if c == nil {
-				c = &countClass{id: k.id}
-				byKey[k] = c
-				r.classes = append(r.classes, c) // ascending leaders: slots scanned ascending
-			}
-			c.members = append(c.members, int32(s))
-		}
+		r.classes = groupClasses(cfg, e.isBad, first)
 		for _, c := range r.classes {
 			leader := int(c.members[0])
 			p := p0
@@ -308,6 +311,74 @@ func (r *countingRep) Start(e *Engine) error {
 		r.inboxes = make([]*msg.Inbox, n)
 	}
 	return nil
+}
+
+// groupClasses partitions the correct slots into (identifier, input)
+// classes, ascending by leader slot, each member list ascending and
+// allocated once at its final size. A slot's class is found in a dense
+// table over (identifier, input offset) when the correct inputs span a
+// small range — the paper's binary or small finite domains — and in a
+// map only for wide spans. A first pass creates the classes and counts
+// their members; the second fills the member lists.
+func groupClasses(cfg *Config, isBad []bool, first int) []*countClass {
+	type classKey struct {
+		id hom.Identifier
+		in hom.Value
+	}
+	n := len(cfg.Inputs)
+	lo, hi := cfg.Inputs[first], cfg.Inputs[first]
+	for s := first; s < n; s++ {
+		if !isBad[s] {
+			lo, hi = min(lo, cfg.Inputs[s]), max(hi, cfg.Inputs[s])
+		}
+	}
+	var dense []int32 // (identifier-1)*(span+1) + input-lo -> class index + 1; 0 = none yet
+	var sparse map[classKey]int32
+	span := uint64(hi - lo) // exact even where hi-lo overflows int
+	if span < uint64(2*n+256) && (span+1)*uint64(cfg.Params.L) <= uint64(2*n+256) {
+		dense = make([]int32, int(span+1)*cfg.Params.L)
+	} else {
+		sparse = make(map[classKey]int32)
+	}
+	cell := func(s int) int {
+		return int(cfg.Assignment[s]-1)*int(span+1) + int(cfg.Inputs[s]-lo)
+	}
+	find := func(s int) int32 {
+		if dense != nil {
+			return dense[cell(s)]
+		}
+		return sparse[classKey{cfg.Assignment[s], cfg.Inputs[s]}]
+	}
+
+	var classes []*countClass
+	var sizes []int
+	for s := first; s < n; s++ {
+		if isBad[s] {
+			continue
+		}
+		ci := find(s)
+		if ci == 0 {
+			classes = append(classes, &countClass{id: cfg.Assignment[s]})
+			sizes = append(sizes, 0)
+			ci = int32(len(classes))
+			if dense != nil {
+				dense[cell(s)] = ci
+			} else {
+				sparse[classKey{cfg.Assignment[s], cfg.Inputs[s]}] = ci
+			}
+		}
+		sizes[ci-1]++
+	}
+	for i, c := range classes {
+		c.members = make([]int32, 0, sizes[i])
+	}
+	for s := first; s < n; s++ {
+		if !isBad[s] {
+			c := classes[find(s)-1]
+			c.members = append(c.members, int32(s))
+		}
+	}
+	return classes
 }
 
 // splitUncloneable degrades every class whose process lacks Cloner into
@@ -413,7 +484,7 @@ func (r *countingRep) splitHalted(round int) {
 				live = append(live, m)
 			}
 		}
-		nc := &countClass{id: c.id, proc: r.cloneProc(c.proc), members: halted, halted: true}
+		nc := &countClass{id: c.id, proc: r.cloneProc(c.proc), members: halted, halted: true, decided: c.decided}
 		for _, m := range nc.members {
 			e.procs[m] = nc.proc
 		}
@@ -508,7 +579,6 @@ func (r *countingRep) DeliverRound(round int) {
 }
 
 func (r *countingRep) deliverFast(round int) {
-	e := r.e
 	for _, c := range r.classes {
 		gi := int(c.id) - 1
 		in := r.roundIn[gi]
@@ -517,11 +587,7 @@ func (r *countingRep) deliverFast(round int) {
 			r.roundIn[gi] = in
 		}
 		c.proc.Receive(round, in)
-		if v, ok := c.proc.Decision(); ok {
-			for _, m := range c.members {
-				e.RecordDecision(int(m), v, true, round)
-			}
-		}
+		r.pollDecision(c, round)
 	}
 	for gi := range r.roundIn {
 		r.roundIn[gi] = nil // inboxes stay owned by the fill caches
@@ -608,26 +674,26 @@ func (r *countingRep) deliverSlow(round int) {
 			continue
 		}
 		if len(c.members) == 1 || r.uniformInbox(c) {
-			r.receivePart(c.proc, c.members, round)
+			r.receivePart(c, round)
 			continue
 		}
+		// Fork every part from the pre-Receive state before any
+		// part steps.
 		parts := r.partition(c)
-		procs := make([]Process, len(parts))
-		procs[0] = c.proc
-		for i := 1; i < len(parts); i++ {
-			procs[i] = r.cloneProc(c.proc)
-		}
-		c.members = parts[0]
-		r.receivePart(procs[0], parts[0], round)
-		for i := 1; i < len(parts); i++ {
-			nc := &countClass{id: c.id, proc: procs[i], members: parts[i]}
+		forks := len(r.classes)
+		for _, part := range parts[1:] {
+			nc := &countClass{id: c.id, proc: r.cloneProc(c.proc), members: part, decided: c.decided}
 			for _, m := range nc.members {
 				e.procs[m] = nc.proc
 			}
 			r.classes = append(r.classes, nc)
-			r.receivePart(procs[i], parts[i], round)
-			split = true
 		}
+		c.members = parts[0]
+		r.receivePart(c, round)
+		for _, nc := range r.classes[forks:] {
+			r.receivePart(nc, round)
+		}
+		split = true
 	}
 	if split {
 		r.sortClasses()
@@ -638,19 +704,26 @@ func (r *countingRep) deliverSlow(round int) {
 
 // receivePart steps one class part: one Receive against the part
 // leader's inbox (every member's inbox is identical by construction),
-// every member's inbox recycled, one decision poll recorded for every
-// member.
-func (r *countingRep) receivePart(proc Process, members []int32, round int) {
-	e := r.e
-	proc.Receive(round, r.inboxes[members[0]])
-	for _, m := range members {
+// every member's inbox recycled, one decision poll.
+func (r *countingRep) receivePart(c *countClass, round int) {
+	c.proc.Receive(round, r.inboxes[c.members[0]])
+	for _, m := range c.members {
 		r.recycleSlot(int(m))
 	}
-	v, ok := proc.Decision()
-	for _, m := range members {
-		if !e.Decided(int(m)) {
-			e.RecordDecision(int(m), v, ok, round)
+	r.pollDecision(c, round)
+}
+
+// pollDecision records the class's decision for every member on its
+// first decided poll, and marks the class so it is polled no more.
+func (r *countingRep) pollDecision(c *countClass, round int) {
+	if c.decided {
+		return
+	}
+	if v, ok := c.proc.Decision(); ok {
+		for _, m := range c.members {
+			r.e.RecordDecision(int(m), v, true, round)
 		}
+		c.decided = true
 	}
 }
 
@@ -729,6 +802,7 @@ func (r *countingRep) mergeClasses(round int) {
 		k := mergeKey{c.id, h.StateFingerprint()}
 		if prev, dup := seen[k]; dup {
 			prev.members = append(prev.members, c.members...)
+			prev.decided = prev.decided && c.decided
 			for _, m := range c.members {
 				r.e.procs[m] = prev.proc
 			}

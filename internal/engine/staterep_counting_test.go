@@ -139,6 +139,52 @@ func TestCountingFastPathCollapse(t *testing.T) {
 	}
 }
 
+// TestCountingInitialClassesAnyInputSpan pins the initial (identifier,
+// input) grouping whatever the inputs' value span: small spans (the
+// dense lookup, including a negative lower end), spans wide enough to
+// take the map, and a corrupted slot excluded from its group. Each run
+// matches Concrete and starts from one class per distinct pair.
+func TestCountingInitialClassesAnyInputSpan(t *testing.T) {
+	const n, l = 12, 4
+	cases := []struct {
+		name    string
+		inputs  func(s int) hom.Value
+		corrupt bool
+		classes int
+	}{
+		{"binary", func(s int) hom.Value { return hom.Value((s / 4) % 2) }, false, 8},
+		{"unanimous", func(int) hom.Value { return 7 }, false, 4},
+		{"negative-low-end", func(s int) hom.Value { return hom.Value(s%3 - 2) }, false, 12},
+		{"wide-span", func(s int) hom.Value { return hom.Value((s / 4) % 2 * 1_000_000) }, false, 8},
+		{"binary-corrupted", func(s int) hom.Value { return hom.Value((s / 4) % 2) }, true, 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inputs := make([]hom.Value, n)
+			for s := range inputs {
+				inputs[s] = tc.inputs(s)
+			}
+			opts := []engine.Option{
+				engine.WithParams(hom.Params{N: n, L: l, T: 1, Synchrony: hom.Synchronous}),
+				engine.WithAssignment(hom.RoundRobinAssignment(n, l)),
+				engine.WithInputs(inputs...),
+				engine.WithProcess(func(int) engine.Process { return &foldProc{persist: true} }),
+				engine.WithRounds(4),
+			}
+			if tc.corrupt {
+				// Slot 7 (identifier 4, input 1) is the only member of
+				// its class; corrupting it removes that class.
+				opts = append(opts, engine.WithAdversary(targetRounds{bad: 7}))
+				tc.classes--
+			}
+			rep := runBoth(t, opts)
+			if got := rep.(classCounter).ClassCount(); got != tc.classes {
+				t.Fatalf("ended with %d classes, want %d", got, tc.classes)
+			}
+		})
+	}
+}
+
 // TestCountingTargetedDivergenceSplits pins the split lifecycle: a
 // Byzantine targeted send to one member of the {0, 8} class gives it a
 // different inbox, and with persistent protocol state the fork never

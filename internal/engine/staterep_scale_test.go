@@ -3,6 +3,8 @@ package engine_test
 import (
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"homonyms/internal/engine"
@@ -40,15 +42,16 @@ func (f *scaleFlooder) StateFingerprint() msg.StateHash {
 	return msg.NewStateHash().Int(int(f.id)).Bool(f.ready)
 }
 
-// TestCountingMillionScaleSmoke is the PR-10 headline smoke: one million
+// TestCountingMillionScaleSmoke is the headline smoke: one million
 // homonymous processes under eight identifiers run eight broadcast
-// rounds through engine.Counting in the memory and time of eight
-// equivalence classes (plus the engine's O(n) slot bookkeeping — a few
-// hundred MB, seconds of wall clock). Gated behind HOMONYMS_SCALE
-// because the concrete-cost engines could never run this cell, and
-// under -race even the counting run's O(n) bookkeeping becomes too
-// expensive for the ordinary test tier; the CI scale job sets the
-// variable explicitly.
+// rounds through engine.Counting in the time of eight equivalence
+// classes. Each round costs O(classes); what stays O(n) is set-up and
+// the per-slot Result and process table (tens of MB at this size).
+// Gated behind HOMONYMS_SCALE because the concrete-cost engines could
+// never run this cell and under -race even the O(n) set-up becomes
+// too expensive for the ordinary test tier; the CI scale job sets the
+// variable explicitly. TestCountingFastPathAllocsIndependentOfN pins
+// the same property ungated at smaller n.
 func TestCountingMillionScaleSmoke(t *testing.T) {
 	if os.Getenv("HOMONYMS_SCALE") == "" {
 		t.Skip("set HOMONYMS_SCALE=1 to run the n=1e6 counting smoke")
@@ -86,5 +89,48 @@ func TestCountingMillionScaleSmoke(t *testing.T) {
 	wantSent := n * n * rounds
 	if res.Stats.MessagesSent != wantSent {
 		t.Fatalf("MessagesSent = %d, want the analytic n*n*rounds = %d", res.Stats.MessagesSent, wantSent)
+	}
+}
+
+// TestCountingFastPathAllocsIndependentOfN pins "no per-slot work" on
+// the counting fast path: the allocation count of a whole engine.Run —
+// assembly, set-up, every round and the Result — is the same at n=10^4
+// and n=10^5 for the same l and round count. Per-slot arrays are each
+// one allocation whatever their length; anything allocated per slot or
+// per slot and round would make the larger run count more. The
+// collector is paused while measuring so pooled scratch (interner,
+// inbox cores) is not dropped by a GC cycle mid-measurement, which
+// would add refills to one side only.
+func TestCountingFastPathAllocsIndependentOfN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race; allocation counts are not comparable")
+	}
+	const l, rounds = 8, 6
+	allocs := func(n int) float64 {
+		a := hom.RoundRobinAssignment(n, l)
+		inputs := make([]hom.Value, n)
+		for s := range inputs {
+			inputs[s] = hom.Value(int(a[s]) % 2)
+		}
+		return testing.AllocsPerRun(3, func() {
+			res, err := engine.Run(
+				engine.WithParams(hom.Params{N: n, L: l, T: 0, Synchrony: hom.Synchronous}),
+				engine.WithAssignment(a),
+				engine.WithInputs(inputs...),
+				engine.WithProcess(func(int) engine.Process { return &scaleFlooder{} }),
+				engine.WithRounds(rounds),
+				engine.WithExtraRounds(rounds-3),
+				engine.WithStateRep(engine.Counting()),
+			)
+			if err != nil || res.Rounds != rounds || !res.AllDecided {
+				t.Fatalf("n=%d: err=%v rounds=%d allDecided=%v", n, err, res.Rounds, res.AllDecided)
+			}
+		})
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GC()
+	small, large := allocs(10_000), allocs(100_000)
+	if small != large {
+		t.Fatalf("allocs per Run: %.0f at n=10^4 but %.0f at n=10^5; the fast path does per-slot work", small, large)
 	}
 }

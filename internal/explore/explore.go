@@ -344,9 +344,14 @@ func (s *searcher) eval(menu []byzAction, rt root, prefix []roundChoice, depth i
 // input (validity). Decisions cannot be revised, so a hit at any depth
 // extends to a full violating execution.
 func safetyViolation(res *engine.Result) string {
-	correct := res.CorrectSlots()
-	first := hom.NoValue
-	for _, sl := range correct {
+	first, proposed := hom.NoValue, hom.NoValue
+	unanimous, seen := true, false
+	for sl := range res.CorrectSlotsSeq {
+		if !seen {
+			proposed, seen = res.Inputs[sl], true
+		} else if res.Inputs[sl] != proposed {
+			unanimous = false
+		}
 		if res.DecidedAt[sl] == 0 {
 			continue
 		}
@@ -356,16 +361,9 @@ func safetyViolation(res *engine.Result) string {
 			return "agreement"
 		}
 	}
-	unanimous := len(correct) > 0
-	for _, sl := range correct[1:] {
-		if res.Inputs[sl] != res.Inputs[correct[0]] {
-			unanimous = false
-			break
-		}
-	}
-	if unanimous {
-		for _, sl := range correct {
-			if res.DecidedAt[sl] != 0 && res.Decisions[sl] != res.Inputs[correct[0]] {
+	if unanimous && seen {
+		for sl := range res.CorrectSlotsSeq {
+			if res.DecidedAt[sl] != 0 && res.Decisions[sl] != proposed {
 				return "validity"
 			}
 		}

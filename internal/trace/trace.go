@@ -143,10 +143,11 @@ func (v Verdict) String() string {
 func Check(res *sim.Result) Verdict {
 	var verdict Verdict
 
-	correct := res.CorrectSlots()
+	// Each loop ranges over res.CorrectSlotsSeq in place, which walks the
+	// correct slots without building a slice or allocating.
 
 	// Termination.
-	for _, s := range correct {
+	for s := range res.CorrectSlotsSeq {
 		if res.DecidedAt[s] == 0 {
 			verdict.Violations = append(verdict.Violations, Violation{
 				Property: Termination,
@@ -158,7 +159,7 @@ func Check(res *sim.Result) Verdict {
 
 	// Agreement.
 	firstVal, firstSlot := hom.NoValue, -1
-	for _, s := range correct {
+	for s := range res.CorrectSlotsSeq {
 		if res.DecidedAt[s] == 0 {
 			continue
 		}
@@ -177,18 +178,18 @@ func Check(res *sim.Result) Verdict {
 	}
 
 	// Validity.
-	unanimous := true
+	unanimous, seen := true, false
 	var proposed hom.Value = hom.NoValue
-	for i, s := range correct {
-		if i == 0 {
-			proposed = res.Inputs[s]
+	for s := range res.CorrectSlotsSeq {
+		if !seen {
+			proposed, seen = res.Inputs[s], true
 		} else if res.Inputs[s] != proposed {
 			unanimous = false
 			break
 		}
 	}
-	if unanimous && len(correct) > 0 {
-		for _, s := range correct {
+	if unanimous && seen {
+		for s := range res.CorrectSlotsSeq {
 			if res.DecidedAt[s] != 0 && res.Decisions[s] != proposed {
 				verdict.Violations = append(verdict.Violations, Violation{
 					Property: Validity,
@@ -207,7 +208,7 @@ func Check(res *sim.Result) Verdict {
 // slots (0 if none decided) — the execution's decision latency.
 func LatestDecisionRound(res *sim.Result) int {
 	latest := 0
-	for _, s := range res.CorrectSlots() {
+	for s := range res.CorrectSlotsSeq {
 		if res.DecidedAt[s] > latest {
 			latest = res.DecidedAt[s]
 		}
@@ -219,7 +220,7 @@ func LatestDecisionRound(res *sim.Result) int {
 // at least one decided and agreement holds; otherwise ok is false.
 func DecidedValue(res *sim.Result) (v hom.Value, ok bool) {
 	v = hom.NoValue
-	for _, s := range res.CorrectSlots() {
+	for s := range res.CorrectSlotsSeq {
 		if res.DecidedAt[s] == 0 {
 			continue
 		}

@@ -183,3 +183,31 @@ func TestVerdictProperties(t *testing.T) {
 		t.Fatalf("Properties() = %v, want [agreement termination]", got)
 	}
 }
+
+// TestCheckWalksSlotsWithoutAllocating pins that the verdict helpers
+// walk the correct slots in place: on a clean execution Check,
+// DecidedValue and LatestDecisionRound allocate nothing, whatever n.
+func TestCheckWalksSlotsWithoutAllocating(t *testing.T) {
+	const n = 1000
+	inputs := make([]hom.Value, n)
+	decisions := make([]hom.Value, n)
+	decidedAt := make([]int, n)
+	for s := range decidedAt {
+		decidedAt[s] = 3
+	}
+	decisions[2], decidedAt[2] = hom.NoValue, 0 // corrupted below
+	res := result(inputs, decisions, decidedAt, []int{2})
+	if a := testing.AllocsPerRun(10, func() {
+		if !trace.Check(res).OK() {
+			t.Fatal("clean run flagged")
+		}
+		if v, ok := trace.DecidedValue(res); !ok || v != 0 {
+			t.Fatalf("DecidedValue = %d, %v", v, ok)
+		}
+		if r := trace.LatestDecisionRound(res); r != 3 {
+			t.Fatalf("LatestDecisionRound = %d", r)
+		}
+	}); a != 0 {
+		t.Fatalf("verdict helpers allocate %.0f times per execution", a)
+	}
+}
