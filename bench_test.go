@@ -15,12 +15,12 @@ import (
 	"homonyms/internal/attacks"
 	"homonyms/internal/classical"
 	"homonyms/internal/core"
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 	"homonyms/internal/numbcast"
 	"homonyms/internal/psynchom"
 	"homonyms/internal/psyncnum"
-	"homonyms/internal/sim"
 	"homonyms/internal/solvability"
 	"homonyms/internal/synchom"
 	"homonyms/internal/trace"
@@ -125,17 +125,17 @@ func BenchmarkFig3ClassicalBaselineEIG(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.Config{
+		res, err := engine.Run(engine.FromConfig(engine.Config{
 			Params:     p,
 			Assignment: hom.RoundRobinAssignment(7, 7),
 			Inputs:     inputs,
-			NewProcess: func(int) sim.Process { return classical.NewProcess(alg) },
+			NewProcess: func(int) engine.Process { return classical.NewProcess(alg) },
 			Adversary: &adversary.Composite{
 				Selector: adversary.RandomT{Seed: int64(i)},
 				Behavior: adversary.Equivocate{Seed: int64(i)},
 			},
 			MaxRounds: alg.DecisionRound() + 2,
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func BenchmarkFig3TransformPhaseKing(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.Config{
+		res, err := engine.Run(engine.FromConfig(engine.Config{
 			Params:     p,
 			Assignment: hom.StackedAssignment(p.N, p.L),
 			Inputs:     inputs,
@@ -171,7 +171,7 @@ func BenchmarkFig3TransformPhaseKing(b *testing.B) {
 				Behavior: adversary.Equivocate{Seed: int64(i)},
 			},
 			MaxRounds: synchom.Rounds(alg) + 3,
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -406,14 +406,14 @@ func BenchmarkAblationInnumerate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.Config{
+		res, err := engine.Run(engine.FromConfig(engine.Config{
 			Params:     p,
 			Assignment: hom.RoundRobinAssignment(p.N, p.L),
 			Inputs:     inputs,
 			NewProcess: factory,
 			GST:        1,
 			MaxRounds:  psyncnum.SuggestedMaxRounds(p, 1),
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -431,7 +431,7 @@ func BenchmarkAblationInnumerate(b *testing.B) {
 // fixed number of rounds.
 type flooder struct{ id hom.Identifier }
 
-func (f *flooder) Init(ctx sim.Context) { f.id = ctx.ID }
+func (f *flooder) Init(ctx engine.Context) { f.id = ctx.ID }
 func (f *flooder) Prepare(round int) []msg.Send {
 	return []msg.Send{msg.Broadcast(msg.Raw(fmt.Sprintf("flood|%d|%d", f.id, round)))}
 }
@@ -449,13 +449,13 @@ func BenchmarkEngineStep(b *testing.B) {
 			inputs := make([]hom.Value, n)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, err := sim.Run(sim.Config{
+				_, err := engine.Run(engine.FromConfig(engine.Config{
 					Params:     p,
 					Assignment: hom.RoundRobinAssignment(n, n),
 					Inputs:     inputs,
-					NewProcess: func(int) sim.Process { return &flooder{} },
+					NewProcess: func(int) engine.Process { return &flooder{} },
 					MaxRounds:  50,
-				})
+				}))
 				if err != nil {
 					b.Fatal(err)
 				}

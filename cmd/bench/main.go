@@ -87,11 +87,9 @@ var gatedAllocBenches = []string{
 	"engine_batched_50r_n16",
 	"engine_permessage_50r_n16",
 	"engine_groupshared_fill_n64l4",
-	"engine_perrecipient_fill_n64l4",
 	"engine_counting_broadcast_50r_n16",
 	"inbox_now_build",
 	"inbox_now_build_pooled_keyed",
-	"inbox_interned_build_pooled",
 	"inbox_soa_build_pooled",
 	"inbox_group_build_views_pooled",
 	"inbox_now_count",
@@ -104,7 +102,6 @@ var gatedAllocBenches = []string{
 var gatedRatios = []string{
 	"inbox_build_ns_improvement_x",
 	"inbox_count_ns_improvement_x",
-	"engine_groupshared_vs_perrecipient_x",
 	"engine_counting_memory_reduction_x",
 }
 
@@ -115,14 +112,8 @@ var gatedRatios = []string{
 // optimisation become unreachable by construction. The value is the
 // record number from which floors apply; gates against older baselines
 // skip the ratio. Absolute costs stay gated throughout via the engine
-// norm and the alloc gates.
-var ratioRebaselines = map[string]int{
-	// PR 10's key-level batch classification sped up the per-recipient
-	// fill itself (~20% on engine_perrecipient_fill_n64l4), shrinking
-	// the group-shared advantage from ~6x to ~4x while making both
-	// delivery paths cheaper.
-	"engine_groupshared_vs_perrecipient_x": 10,
-}
+// norm and the alloc gates. No gated ratio is reset at present.
+var ratioRebaselines = map[string]int{}
 
 // recordRank extracts the record number from a record or file name
 // ("BENCH_PR7" -> 7) for ordering gates oldest-first.
@@ -326,10 +317,10 @@ func run(out string) error {
 	if err := enc.Encode(rec); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (engine norm %.1f, interned inbox %d allocs/op, count %.1fx faster, matrix parallel %.2fx on %d workers)\n",
+	fmt.Printf("wrote %s (engine norm %.1f, SoA inbox %d allocs/op, count %.1fx faster, matrix parallel %.2fx on %d workers)\n",
 		out,
 		norm(*rec, "engine_broadcast_50r_n16", "inbox_baseline_build"),
-		rec.Benchmarks["inbox_interned_build_pooled"].AllocsPerOp,
+		rec.Benchmarks["inbox_soa_build_pooled"].AllocsPerOp,
 		rec.Derived["inbox_count_ns_improvement_x"],
 		rec.Derived["matrix_parallel_speedup_x"],
 		int(rec.Derived["workers"]))
@@ -346,12 +337,11 @@ func collect() (*record, error) {
 		Derived:    map[string]float64{},
 		Notes: []string{
 			"inbox_baseline_* reimplements the pre-PR-1 msg layer (keys rebuilt per call, sort.Slice per inbox) and runs in-process for a like-for-like ratio",
-			"inbox_interned_build_pooled is the PR-3 engine path: messages symbolized to dense KeyIDs, counts in a KeyID-indexed array, zero steady-state allocations",
 			"inbox_soa_* is the PR-4 engine path: the send arena split into parallel (id, kid, body) columns; fill and the indexed receive scan touch only the integer columns",
 			"engine_batched_* vs engine_permessage_* compare the PR-4 per-recipient batch routing (the default) against the per-message reference path on the same workload; engine_broadcast_50r_n16 keeps its name and measures the default configuration",
 			"protocol_table_* measure the arena-backed broadcast tables (PR 3); the matrix pair records workers/gomaxprocs so single-core runs are not misread as scheduler regressions",
-			"inbox_group_* and engine_*_fill_n64l4 are the PR-5 group-shared reception paths: an identifier-symmetric post-GST all-to-all round at n=64, l=4 fills one shared msg.GroupInbox per identifier group (l fills) instead of one SoA inbox per process (n fills); engine_groupshared_vs_perrecipient_x is the fill-path ratio on that cell",
-			"PR 7 unifies the sequential and concurrent engines into internal/engine (sim.Run/runtime.Run are thin adapters); engine_* benchmarks now drive the round-core through the options API, with the same names and workloads",
+			"inbox_group_* and engine_groupshared_fill_n64l4 are the PR-5 group-shared reception paths: an identifier-symmetric post-GST all-to-all round at n=64, l=4 fills one shared msg.GroupInbox per identifier group (l fills) instead of one SoA inbox per process (n fills); inbox_group_vs_soa_fills_x is the msg-level ratio on that cell",
+			"engine_* benchmarks drive the round-core in internal/engine through the options API",
 			"engine_counting_* are the PR-10 counting representation: correct processes held as (identifier, state) equivalence classes with multiplicities, one protocol step and one stamp per class per round; engine_counting_broadcast_n1e6_l8 runs a million-process broadcast in the memory of its 8 classes plus the engine's O(n) slot bookkeeping",
 			"engine_counting_memory_reduction_x extrapolates the concrete cost to n=1e6 linearly from the measured n=1e4 run (conservative: every concrete per-slot cost — process objects, stamped sends, per-slot payload strings — grows at least linearly in n) and divides by the measured counting bytes at n=1e6",
 		},
@@ -362,16 +352,8 @@ func collect() (*record, error) {
 	for i, m := range raw {
 		keyed[i] = msg.NewMessage(m.ID, m.Body)
 	}
-	intern := msg.NewInterner()
-	arena := make([]msg.Message, len(raw))
-	idx := make([]int32, len(raw))
-	for i, m := range raw {
-		arena[i] = msg.NewMessageInterned(intern, m.ID, m.Body)
-		idx[i] = int32(i)
-	}
 
-	// Inbox construction: baseline vs current vs current-pooled vs the
-	// interned engine path.
+	// Inbox construction: baseline vs current vs current-pooled.
 	rec.Benchmarks["inbox_baseline_build"] = measure(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			newBaselineInbox(true, raw)
@@ -385,15 +367,6 @@ func collect() (*record, error) {
 	rec.Benchmarks["inbox_now_build_pooled_keyed"] = measure(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			in := msg.NewPooledInbox(true, keyed)
-			in.Recycle()
-		}
-	})
-	rec.Benchmarks["inbox_interned_build_pooled"] = measure(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			in := msg.NewPooledInboxIndexed(true, arena, idx)
-			if in.Len() == 0 {
-				b.Fatal("empty inbox")
-			}
 			in.Recycle()
 		}
 	})
@@ -469,8 +442,7 @@ func collect() (*record, error) {
 			}
 		}
 	})
-	rec.Benchmarks["engine_groupshared_fill_n64l4"] = measureRouterFill(engine.ReceiveGroupShared)
-	rec.Benchmarks["engine_perrecipient_fill_n64l4"] = measureRouterFill(engine.ReceivePerRecipient)
+	rec.Benchmarks["engine_groupshared_fill_n64l4"] = measureRouterFill()
 
 	// Count: baseline (key rebuilt per call) vs current (cached key).
 	base := newBaselineInbox(true, raw)
@@ -599,15 +571,6 @@ func collect() (*record, error) {
 		rec.Benchmarks["inbox_baseline_build"].AllocsPerOp,
 		rec.Benchmarks["inbox_now_build"].AllocsPerOp)
 	rec.Derived["inbox_build_pooled_allocs_per_op"] = float64(rec.Benchmarks["inbox_now_build_pooled_keyed"].AllocsPerOp)
-	rec.Derived["inbox_interned_allocs_per_op"] = float64(rec.Benchmarks["inbox_interned_build_pooled"].AllocsPerOp)
-	// The engine's actual per-round path is pooled + interned; clamp the
-	// denominator so a fully allocation-free result reads as a finite ratio.
-	pooledAllocs := rec.Benchmarks["inbox_interned_build_pooled"].AllocsPerOp
-	if pooledAllocs < 1 {
-		pooledAllocs = 1
-	}
-	rec.Derived["inbox_engine_path_allocs_improvement_x"] = div(
-		rec.Benchmarks["inbox_baseline_build"].AllocsPerOp, pooledAllocs)
 	rec.Derived["inbox_build_ns_improvement_x"] = div(
 		rec.Benchmarks["inbox_baseline_build"].NsPerOp,
 		rec.Benchmarks["inbox_now_build"].NsPerOp)
@@ -625,9 +588,6 @@ func collect() (*record, error) {
 	rec.Derived["inbox_group_vs_soa_fills_x"] = div(
 		rec.Benchmarks["inbox_group_equiv_soa_fills"].NsPerOp,
 		rec.Benchmarks["inbox_group_build_views_pooled"].NsPerOp)
-	rec.Derived["engine_groupshared_vs_perrecipient_x"] = div(
-		rec.Benchmarks["engine_perrecipient_fill_n64l4"].NsPerOp,
-		rec.Benchmarks["engine_groupshared_fill_n64l4"].NsPerOp)
 	// Counting-vs-concrete, same workload: memory at n=1e4 directly, and
 	// the n=1e6 headline against the linear extrapolation of the n=1e4
 	// concrete run (see the record notes for why linear is conservative).
@@ -652,19 +612,17 @@ type floodPayload struct{ slot int }
 func (p floodPayload) BuildKey(kb *msg.KeyBuilder) { kb.Reset("flood").Int(p.slot) }
 func (p floodPayload) Key() string                 { return msg.ScratchKey(p) }
 
-// measureRouterFill drives the engines' shared Router over an
+// measureRouterFill drives the engine's shared Router over an
 // identifier-symmetric post-GST all-to-all round at n=64, l=4 — the
 // ROADMAP's "cut the n² fill to l fills" cell — measuring exactly the
 // fill path: route, flush, classify, build every correct recipient's
-// inbox (forcing the dedup fill and the sort index) and recycle. Under
-// ReceiveGroupShared the round performs l=4 shared fills; under
-// ReceivePerRecipient it performs n=64.
-func measureRouterFill(reception engine.ReceptionMode) metric {
+// inbox (forcing the dedup fill and the sort index) and recycle. The
+// round performs l=4 shared fills instead of n=64.
+func measureRouterFill() metric {
 	const n, l = 64, 4
 	cfg := engine.Config{
 		Params:     hom.Params{N: n, L: l, T: 0, Synchrony: hom.Synchronous},
 		Assignment: hom.RoundRobinAssignment(n, l),
-		Reception:  reception,
 	}
 	isBad := make([]bool, n)
 	var stats engine.Stats

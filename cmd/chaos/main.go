@@ -34,7 +34,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker pool size (0 = one per CPU)")
 		maxN       = flag.Int("maxn", 10, "largest process count to sample")
 		protocols  = flag.String("protocols", "", "comma-separated protocol subset (default: all registered)")
-		invariants = flag.Bool("invariants", true, "run with the engines' per-round internal checks (the soak's point; on by default)")
+		invariants = flag.Bool("invariants", true, "run with the engine's per-round internal checks (the soak's point; on by default)")
 		quiet      = flag.Bool("q", false, "print only the digest line and failures")
 	)
 	flag.Parse()

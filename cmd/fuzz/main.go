@@ -43,7 +43,7 @@ func main() {
 		harvest    = flag.String("harvest", "", "directory to write shrunk expected-violation seeds into")
 		harvestMax = flag.Int("harvest-max", 3, "how many expected violations to harvest")
 		replay     = flag.String("replay", "", "replay every *.json seed in this directory instead of fuzzing")
-		invariants = flag.Bool("invariants", false, "run every scenario with the engines' per-round internal checks (paranoid mode)")
+		invariants = flag.Bool("invariants", false, "run every scenario with the engine's per-round internal checks (paranoid mode)")
 		timemodel  = flag.String("timemodel", "", "force a time model onto lockstep scenarios (e.g. esync; scenarios naming their own model keep it)")
 		quiet      = flag.Bool("q", false, "print only the digest line and failures")
 	)

@@ -65,7 +65,7 @@ func main() {
 			//
 			//   DeliverPerMessage: the reference path — every
 			//   (send, recipient) pair goes through the deliver hook
-			//   individually, exactly like the pre-batching engines.
+			//   individually, exactly like the pre-batching engine.
 			engine.WithDelivery(mode),
 		}
 	}

@@ -1,5 +1,5 @@
 // Cross-module integration tests: full paper scenarios driven through the
-// public façade and both engines, asserting the end-to-end behaviour the
+// public façade and both state representations, asserting the end-to-end behaviour the
 // examples and tools rely on.
 package homonyms_test
 
@@ -8,9 +8,8 @@ import (
 
 	"homonyms/internal/adversary"
 	"homonyms/internal/core"
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
-	"homonyms/internal/runtime"
-	"homonyms/internal/sim"
 	"homonyms/internal/trace"
 )
 
@@ -61,16 +60,17 @@ func TestAllSolvableVariantsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestConcurrentEngineEndToEnd drives the façade's selections through the
-// goroutine-based runtime and checks the same verdicts hold.
-func TestConcurrentEngineEndToEnd(t *testing.T) {
+// TestCountingEngineEndToEnd drives the façade's selection through the
+// counting state representation under pre-GST drops and checks the
+// verdict holds there too.
+func TestCountingEngineEndToEnd(t *testing.T) {
 	p := hom.Params{N: 6, L: 5, T: 1, Synchrony: hom.PartiallySynchronous}
 	sel, err := core.Select(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := []hom.Value{1, 0, 1, 0, 1, 0}
-	res, err := runtime.Run(sim.Config{
+	res, err := engine.Run(engine.FromConfig(engine.Config{
 		Params:     p,
 		Assignment: hom.StackedAssignment(p.N, p.L),
 		Inputs:     inputs,
@@ -82,9 +82,9 @@ func TestConcurrentEngineEndToEnd(t *testing.T) {
 		},
 		GST:       17,
 		MaxRounds: sel.SuggestedRounds(17),
-	})
+	}), engine.WithStateRep(engine.Counting()))
 	if err != nil {
-		t.Fatalf("runtime.Run: %v", err)
+		t.Fatalf("engine.Run: %v", err)
 	}
 	if v := trace.Check(res); !v.OK() {
 		t.Fatalf("%s", v)

@@ -48,7 +48,7 @@ type InitPayload struct {
 	Body msg.Payload
 }
 
-// BuildKey implements msg.ScratchKeyer (the engines' scratch-interned
+// BuildKey implements msg.ScratchKeyer (the engine's scratch-interned
 // send path; the embedded body key stays whatever the inner payload
 // provides).
 func (p InitPayload) BuildKey(kb *msg.KeyBuilder) { kb.Reset("abinit").Nested(p.Body) }

@@ -3,7 +3,7 @@
 // with much heavier timing-fault schedules — link delays held across
 // GST, probabilistic delay windows, round-clock stalls, reorders,
 // retransmission under tight message budgets — and runs every
-// composition under the engines' paranoid invariant checks with panic
+// composition under the engine's paranoid invariant checks with panic
 // isolation (fuzz.RunOpts wraps each execution in exec.Protect).
 //
 // Like a fuzz campaign, a soak is a pure function of its seed: scenario
@@ -39,7 +39,7 @@ type Config struct {
 	Workers int
 	// Gen bounds the underlying scenario sampling space.
 	Gen fuzz.GenOptions
-	// Invariants runs every composition with the engines' per-round
+	// Invariants runs every composition with the engine's per-round
 	// internal checks — the soak's reason to exist; cmd/chaos defaults
 	// it on.
 	Invariants bool

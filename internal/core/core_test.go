@@ -108,3 +108,74 @@ func TestSolvableReExports(t *testing.T) {
 		t.Fatal("empty solvability reason")
 	}
 }
+
+func TestCoreSelectMatchesTable1(t *testing.T) {
+	tests := []struct {
+		p    hom.Params
+		want core.AlgorithmID
+		ok   bool
+	}{
+		{hom.Params{N: 7, L: 4, T: 1, Synchrony: hom.Synchronous}, core.AlgSyncTransformEIG, true},
+		{hom.Params{N: 6, L: 5, T: 1, Synchrony: hom.PartiallySynchronous}, core.AlgPsyncHomonym, true},
+		{hom.Params{N: 7, L: 2, T: 1, Synchrony: hom.PartiallySynchronous, Numerate: true, RestrictedByzantine: true}, core.AlgNumerate, true},
+		{hom.Params{N: 7, L: 2, T: 1, Synchrony: hom.Synchronous, Numerate: true, RestrictedByzantine: true}, core.AlgNumerate, true},
+		{hom.Params{N: 5, L: 4, T: 1, Synchrony: hom.PartiallySynchronous}, "", false},
+		{hom.Params{N: 7, L: 3, T: 1, Synchrony: hom.Synchronous}, "", false},
+	}
+	for _, tc := range tests {
+		sel, err := core.Select(tc.p)
+		if tc.ok {
+			if err != nil {
+				t.Fatalf("Select(%v): %v", tc.p, err)
+			}
+			if sel.Algorithm != tc.want {
+				t.Fatalf("Select(%v) = %s, want %s", tc.p, sel.Algorithm, tc.want)
+			}
+			if sel.SuggestedRounds(1) <= 0 {
+				t.Fatalf("Select(%v): non-positive round budget", tc.p)
+			}
+			continue
+		}
+		if err == nil {
+			t.Fatalf("Select(%v) succeeded, want unsolvable error", tc.p)
+		}
+	}
+}
+
+func TestCoreRunEndToEnd(t *testing.T) {
+	for _, p := range []hom.Params{
+		{N: 7, L: 4, T: 1, Synchrony: hom.Synchronous},
+		{N: 6, L: 5, T: 1, Synchrony: hom.PartiallySynchronous},
+		{N: 7, L: 2, T: 1, Synchrony: hom.PartiallySynchronous, Numerate: true, RestrictedByzantine: true},
+	} {
+		inputs := make([]hom.Value, p.N)
+		for i := range inputs {
+			inputs[i] = hom.Value(i % 2)
+		}
+		res, err := core.Run(core.Config{
+			Params: p,
+			Inputs: inputs,
+			Adversary: &adversary.Composite{
+				Selector: adversary.Slots{1},
+				Behavior: adversary.Equivocate{Seed: 2},
+			},
+		})
+		if err != nil {
+			t.Fatalf("core.Run(%v): %v", p, err)
+		}
+		if !res.Verdict.OK() || !res.Decided {
+			t.Fatalf("core.Run(%v): %s (decided=%v)", p, res.Verdict, res.Decided)
+		}
+	}
+}
+
+func TestCoreRunUnanimous(t *testing.T) {
+	p := hom.Params{N: 6, L: 5, T: 1, Synchrony: hom.PartiallySynchronous}
+	res, err := core.RunUnanimous(p, 1, nil, 1)
+	if err != nil {
+		t.Fatalf("RunUnanimous: %v", err)
+	}
+	if !res.Decided || res.Decision != 1 {
+		t.Fatalf("unanimous run decided %v (%v)", res.Decision, res.Decided)
+	}
+}

@@ -1,7 +1,6 @@
-// Package engine is the unified round-core for the homonym model of
-// Delporte-Gallet et al. (PODC 2011): one execution kernel behind the
-// sequential façade (package sim) and the concurrent one (package
-// runtime), which are now thin adapters over this package.
+// Package engine is the round-core for the homonym model of
+// Delporte-Gallet et al. (PODC 2011): the one execution kernel every
+// protocol, adversary, campaign and command runs on.
 //
 // The kernel realises exactly the paper's two timing models:
 //
@@ -43,22 +42,21 @@
 //     exponential backoff on top of the same loop, holding in-flight
 //     messages in a deterministic pending queue.
 //   - StateRep owns how correct-process state is held and stepped.
-//     Concrete (one state machine per slot, stepped in place) and
-//     ConcurrentConcrete (one goroutine per slot, the former package
-//     runtime machinery) exist today; a counting/abstract representation
-//     plugs in here.
+//     Concrete (one state machine per slot, stepped in place) is the
+//     default; Counting folds indistinguishable homonyms into counted
+//     (identifier-group, state) classes.
 //
 // Round delivery runs through the Router, shared by every state
 // representation: sends are stamped once into a structure-of-arrays
 // arena and, by default, delivered as per-recipient batches with the
 // adversary's masks applied over each whole batch (DeliverBatched);
 // Config.Delivery selects the per-message reference path, which is
-// byte-identical by test. On the reception side the Router classifies,
-// by default, each identifier group's correct members into equivalence
+// byte-identical by test. On the reception side batched delivery
+// classifies each identifier group's correct members into equivalence
 // classes of byte-identical batches and fills one shared inbox core per
-// class (ReceiveGroupShared — the fill cost of identifier-symmetric
-// rounds scales with l instead of n); Config.Reception selects the
-// per-recipient reference path, which is byte-identical by test.
+// class, so the fill cost of identifier-symmetric rounds scales with l
+// instead of n. The per-message reference path fills every recipient's
+// inbox separately.
 package engine
 
 import (
@@ -209,8 +207,7 @@ type Observer interface {
 // Config assembles one execution. It remains the aggregate carrier
 // behind the options API: New(opts...) folds every option into a Config
 // before validating it, and FromConfig seeds the options from a
-// hand-built one (which is how the deprecated sim.Run and runtime.Run
-// adapters keep their exact legacy surface).
+// hand-built one.
 type Config struct {
 	Params     hom.Params
 	Assignment hom.Assignment
@@ -253,12 +250,6 @@ type Config struct {
 	// DeliverPerMessage selects the reference path. Both produce
 	// byte-identical Results — see DeliveryMode.
 	Delivery DeliveryMode
-	// Reception selects how inboxes are filled under batched delivery.
-	// The zero value is ReceiveGroupShared (one fill per identifier
-	// group when the group's delivered batches are byte-identical);
-	// ReceivePerRecipient selects the per-recipient reference path. Both
-	// produce byte-identical Results — see ReceptionMode.
-	Reception ReceptionMode
 	// Faults optionally injects benign (non-Byzantine) faults into the
 	// execution: crash-stop and crash-recovery windows for correct
 	// processes, send/receive omission, message duplication and stale
@@ -301,10 +292,8 @@ type Config struct {
 	FrontierHash bool
 	// TimeModel optionally selects the execution's time model from a
 	// hand-built Config; nil means Lockstep. WithTimeModel overrides it.
-	// Carried on Config so the deprecated sim.Run / runtime.Run adapters
-	// (and fuzz scenarios replayed through them) can drive
-	// eventually-synchronous executions without touching the options
-	// layer.
+	// Carried on Config so fuzz scenarios replayed through FromConfig
+	// can drive eventually-synchronous executions.
 	TimeModel TimeModel
 }
 
@@ -314,9 +303,7 @@ type Config struct {
 // scratch to their pools for the next execution.
 //
 // Invariants: Release is called at most once per process, strictly after
-// its last Receive/Decision call (the concurrent state representation
-// calls it on the goroutine that owned the process, before Run returns);
-// the process is unusable afterwards, and anything it returned to a pool
+// its last Receive/Decision call, before Run returns; the process is unusable afterwards, and anything it returned to a pool
 // — tables, interners, KeyIDs they issued — must not be referenced
 // again. Implementations must tolerate being absent: the hook is
 // optional and the engine never requires it.
@@ -324,7 +311,7 @@ type Releaser interface {
 	Release()
 }
 
-// Validation errors for New (and the deprecated Config adapters).
+// Validation errors for New.
 var (
 	ErrNilProcessFactory = errors.New("engine: NewProcess must not be nil")
 	ErrNoRoundCap        = errors.New("engine: MaxRounds must be positive")
@@ -632,8 +619,7 @@ func newEngine(cfg Config, tm TimeModel, rep StateRep) (*Engine, error) {
 // completion (all correct slots decided, plus ExtraRounds), to MaxRounds,
 // or to a budget stop. An Engine must not be reused after Run returns.
 func (e *Engine) Run() (*Result, error) {
-	// Tear down the state representation (joining any goroutines it owns
-	// and releasing processes) and recycle the pooled interner on every
+	// Tear down the state representation (releasing processes) and recycle the pooled interner on every
 	// exit path, including an invariant abort mid-execution.
 	defer func() {
 		e.rep.Stop()

@@ -24,7 +24,7 @@ var (
 	// passing the option, never by passing nil through it.
 	ErrNilOption = errors.New("engine: nil value passed to option")
 	// ErrBadOption: an option value is outside its domain (unknown
-	// delivery/reception mode, negative budget).
+	// delivery mode, negative budget).
 	ErrBadOption = errors.New("engine: invalid option value")
 )
 
@@ -41,7 +41,6 @@ const (
 	knobRounds
 	knobExtraRounds
 	knobDelivery
-	knobReception
 	knobFaults
 	knobBudget
 	knobInterner
@@ -116,13 +115,12 @@ func sameAdversary(a, b Adversary) bool {
 }
 
 // New assembles and validates one execution. Defaults: batched
-// delivery, group-shared reception, the Lockstep time model and the
-// sequential Concrete state representation; no adversary, no faults, no
-// budgets. Option-level errors (conflicts, nil values, out-of-domain
-// modes) are joined and reported together; configuration-level
-// validation (parameters, assignment, inputs, process factory, round
-// cap) then runs in the same order the legacy sim.Run used, so the
-// deprecated adapters surface identical errors.
+// delivery, the Lockstep time model and the sequential Concrete state
+// representation; no adversary, no faults, no budgets. Option-level
+// errors (conflicts, nil values, out-of-domain modes) are joined and
+// reported together; configuration-level validation then runs in a
+// fixed order: parameters, assignment, inputs, process factory, round
+// cap.
 func New(opts ...Option) (*Engine, error) {
 	s := &settings{}
 	for _, opt := range opts {
@@ -136,7 +134,7 @@ func New(opts ...Option) (*Engine, error) {
 		return nil, errors.Join(s.errs...)
 	}
 	if s.tm == nil {
-		// The Config carrier may name a time model (the adapters' path
+		// The Config carrier may name a time model (FromConfig's path
 		// to eventually-synchronous executions); WithTimeModel wins.
 		if s.cfg.TimeModel != nil {
 			s.tm = s.cfg.TimeModel
@@ -175,10 +173,9 @@ func Run(opts ...Option) (*Result, error) {
 	return e.Run()
 }
 
-// FromConfig seeds every configuration knob from a hand-built Config —
-// the bridge the deprecated sim.Run and runtime.Run adapters use.
+// FromConfig seeds every configuration knob from a hand-built Config.
 // It is a base layer, not a single-valued knob: options after it
-// override its fields without conflicting, so adapters can compose it
+// override its fields without conflicting, so callers can compose it
 // (e.g. with WithStateRep).
 func FromConfig(cfg Config) Option {
 	return func(s *settings) { s.cfg = cfg }
@@ -278,17 +275,6 @@ func WithDelivery(m DeliveryMode) Option {
 			return
 		}
 		setOnce(s, knobDelivery, "Delivery", &s.cfg.Delivery, m, same)
-	}
-}
-
-// WithReception selects how inboxes are filled under batched delivery.
-func WithReception(m ReceptionMode) Option {
-	return func(s *settings) {
-		if m != ReceiveGroupShared && m != ReceivePerRecipient {
-			s.fail(fmt.Errorf("%w: unknown ReceptionMode %d", ErrBadOption, m))
-			return
-		}
-		setOnce(s, knobReception, "Reception", &s.cfg.Reception, m, same)
 	}
 }
 

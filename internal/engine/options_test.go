@@ -66,10 +66,6 @@ func TestNewConflictingOptions(t *testing.T) {
 			engine.WithDelivery(engine.DeliverBatched),
 			engine.WithDelivery(engine.DeliverPerMessage),
 		}},
-		{"reception", []engine.Option{
-			engine.WithReception(engine.ReceiveGroupShared),
-			engine.WithReception(engine.ReceivePerRecipient),
-		}},
 		{"rounds", []engine.Option{engine.WithRounds(7)}}, // base already sets 3
 		{"gst", []engine.Option{engine.WithGST(1), engine.WithGST(5)}},
 		{"budget", []engine.Option{
@@ -78,7 +74,7 @@ func TestNewConflictingOptions(t *testing.T) {
 		}},
 		{"staterep", []engine.Option{
 			engine.WithStateRep(engine.Concrete()),
-			engine.WithStateRep(engine.ConcurrentConcrete()),
+			engine.WithStateRep(engine.Counting()),
 		}},
 		// base sets N=4, L=4, synchronous, the default domain.
 		{"params", []engine.Option{
@@ -180,7 +176,6 @@ func TestNewBadOptionValues(t *testing.T) {
 		opt  engine.Option
 	}{
 		{"delivery", engine.WithDelivery(engine.DeliveryMode(99))},
-		{"reception", engine.WithReception(engine.ReceptionMode(99))},
 		{"negative-sends", engine.WithBudget(-1, 0)},
 		{"negative-deadline", engine.WithBudget(0, -time.Second)},
 	}
@@ -281,5 +276,36 @@ func TestFromConfigComposes(t *testing.T) {
 	}
 	if !res.AllDecided {
 		t.Fatalf("expected decisions, got %+v", res.Decisions)
+	}
+}
+
+// TestStateRepByName pins the CLI/scenario vocabulary: "", "concrete"
+// and "counting" resolve; the retired "concurrent" and unknown names,
+// and a class budget on the concrete representation, are typed
+// ErrUnknownStateRep errors.
+func TestStateRepByName(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		maxClasses int
+		want       string // Describe() of the resolved representation; "" = error
+	}{
+		{"", 0, "concrete"},
+		{"concrete", 0, "concrete"},
+		{"counting", 0, engine.Counting().Describe()},
+		{"counting", 3, engine.CountingLimited(3).Describe()},
+		{"concrete", 3, ""},
+		{"concurrent", 0, ""},
+		{"holographic", 0, ""},
+	} {
+		rep, err := engine.StateRepByName(tc.name, tc.maxClasses)
+		if tc.want == "" {
+			if !errors.Is(err, engine.ErrUnknownStateRep) {
+				t.Errorf("StateRepByName(%q, %d): want ErrUnknownStateRep, got %v", tc.name, tc.maxClasses, err)
+			}
+			continue
+		}
+		if err != nil || rep.Describe() != tc.want {
+			t.Errorf("StateRepByName(%q, %d) = %v, %v; want %s", tc.name, tc.maxClasses, rep, err, tc.want)
+		}
 	}
 }

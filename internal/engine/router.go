@@ -10,7 +10,7 @@ import (
 	"homonyms/internal/msg"
 )
 
-// DeliveryMode selects how the engines route a round's sends to their
+// DeliveryMode selects how the engine routes a round's sends to their
 // recipients. Both modes produce byte-identical Results (pinned by the
 // parity tests over every committed fuzz seed); they differ only in how
 // the work is organised.
@@ -26,22 +26,8 @@ const (
 	// traffic stay batched too: a per-(send, recipient) bitmap
 	// reconstructs the reference path's send-major Delivered order after
 	// the batches are flushed.
-	DeliverBatched DeliveryMode = iota
-	// DeliverPerMessage is the reference path: every (send, recipient)
-	// pair goes through the deliver hook individually, and deliveries
-	// are recorded inline in send-major order. It is kept as the oracle
-	// the batched path is tested against.
-	DeliverPerMessage
-)
-
-// ReceptionMode selects how per-recipient inboxes are built under
-// batched delivery. Both modes produce byte-identical Results (pinned
-// by the group-reception parity tests over every committed fuzz seed);
-// they differ only in how much fill work is shared.
-type ReceptionMode int
-
-const (
-	// ReceiveGroupShared is the default: after the round's batches are
+	//
+	// Batched rounds also share inbox fills: after the batches are
 	// flushed, recipients are classified into equivalence classes — the
 	// correct members of one identifier group whose delivered index
 	// batches are byte-identical — and each class's inbox fill (dedup,
@@ -52,10 +38,13 @@ const (
 	// the n inbox fills to l, one per identifier group. Members whose
 	// batch diverges (targeted Byzantine sends, per-recipient visibility
 	// or drop masks) fall back to their own per-recipient fill.
-	ReceiveGroupShared ReceptionMode = iota
-	// ReceivePerRecipient is the reference path: every correct
-	// recipient fills its own inbox, as before group sharing existed.
-	ReceivePerRecipient
+	DeliverBatched DeliveryMode = iota
+	// DeliverPerMessage is the reference path: every (send, recipient)
+	// pair goes through the deliver hook individually, deliveries are
+	// recorded inline in send-major order, and every recipient fills its
+	// own inbox. It is kept as the oracle the batched path is tested
+	// against.
+	DeliverPerMessage
 )
 
 // BatchDropper is an optional Adversary extension consumed by the batched
@@ -113,8 +102,6 @@ type Router struct {
 	adv        Adversary
 	dropper    BatchDropper // nil iff adv is nil
 	gst        int
-	mode       DeliveryMode
-	reception  ReceptionMode
 	record     bool
 	stats      *Stats
 	isBad      []bool
@@ -130,8 +117,8 @@ type Router struct {
 
 	// Fault injection (package inject). inj is nil in fault-free
 	// executions; every query it answers is a pure function of
-	// (round, from, to), which is what keeps the two delivery modes, the
-	// two reception modes and the two engines identical under faults.
+	// (round, from, to), which is what keeps the two delivery modes and
+	// the two state representations identical under faults.
 	inj        *inject.Injector
 	replays    []inject.Replay // inj's replay specs, indexed like retained
 	retained   [][]msg.Payload // per replay spec: bodies captured at SourceRound
@@ -143,8 +130,8 @@ type Router struct {
 	// Eventually-synchronous timing machinery (TimingPolicy granted by
 	// the time model): held deliveries cross rounds in the pending
 	// queue, and sender timeout retransmissions fire from it with
-	// exponential backoff. All of it runs on the engine's coordinating
-	// goroutine, identically under both delivery modes and both state
+	// exponential backoff. All of it runs on the engine's goroutine,
+	// identically under both delivery modes and both state
 	// representations.
 	timing      bool // timing machinery live (EnableTiming)
 	esBound     int  // max post-stabilisation delivery delay in rounds
@@ -194,8 +181,7 @@ type Router struct {
 
 	round   int
 	dropsOK bool
-	perMsg  bool // effective routing this round
-	share   bool // group-shared reception this round
+	perMsg  bool // DeliverPerMessage: route inline, fill every inbox separately
 }
 
 // NewRouter builds the round router for one execution. isBad, stats and
@@ -218,8 +204,7 @@ func NewRouter(cfg *Config, isBad []bool, stats *Stats, intern *msg.Interner, re
 		visibility:  cfg.Visibility,
 		adv:         cfg.Adversary,
 		gst:         cfg.GST,
-		mode:        cfg.Delivery,
-		reception:   cfg.Reception,
+		perMsg:      cfg.Delivery == DeliverPerMessage,
 		record:      record,
 		stats:       stats,
 		isBad:       isBad,
@@ -300,8 +285,6 @@ func (r *Router) BeginRound(round int) {
 	}
 	r.dropsOK = r.adv != nil &&
 		r.params.Synchrony == hom.PartiallySynchronous && round < r.gst
-	r.perMsg = r.mode == DeliverPerMessage
-	r.share = !r.perMsg && r.reception == ReceiveGroupShared
 	r.injRound = r.inj.Active(round)
 	r.anyDown = r.injRound && r.inj.AnyDown(round)
 	if r.inj != nil {
@@ -349,7 +332,7 @@ func (r *Router) stamp(from int, body msg.Payload) int32 {
 }
 
 // TotalStamped returns the cumulative number of sends stamped across the
-// execution — the engines' message-budget gauge (Config.MaxSends).
+// execution — the engine's message-budget gauge (Config.MaxSends).
 func (r *Router) TotalStamped() int { return r.totalStamped }
 
 // route records one (send, recipient) pair: immediately delivered in
@@ -502,7 +485,7 @@ func (r *Router) pumpPending() {
 }
 
 // deliverNow is the per-message reference hook, semantically identical to
-// the pre-batching engines' deliver closure.
+// the pre-batching engine's deliver closure.
 func (r *Router) deliverNow(from, to int, si int32) {
 	r.stats.MessagesSent++
 	if r.visibility != nil && !r.visibility(from, to) {
@@ -727,8 +710,8 @@ func (r *Router) flushOwn(to int) {
 
 // Flush completes the round's routing. In batched mode it delivers one
 // batch per recipient (visibility mask, one drop-mask application per
-// batch, survivors copied in a single append, statistics per batch) and,
-// under group-shared reception, classifies recipients while doing so:
+// batch, survivors copied in a single append, statistics per batch) and
+// classifies recipients while doing so:
 // the correct members of each identifier group receive identical
 // candidate batches whenever no targeted send touched them, so the
 // representative's masked batch can stand for every member whose masks
@@ -754,13 +737,6 @@ func (r *Router) Flush() {
 		return
 	}
 	r.resetRecord()
-	if !r.share {
-		for to := 0; to < r.n; to++ {
-			r.flushOwn(to)
-		}
-		r.buildRecord()
-		return
-	}
 
 	// trivialMask: no mask can change a batch this round, so members
 	// with equal candidate batches are guaranteed equal deliveries. A
@@ -941,7 +917,7 @@ func (r *Router) Inbox(to int) *msg.Inbox {
 	if r.verify {
 		r.issued[to]++
 	}
-	if r.share {
+	if !r.perMsg {
 		if rep := r.shareRep[to]; rep >= 0 {
 			gi := r.classGI[rep]
 			if gi == nil {
@@ -960,9 +936,9 @@ func (r *Router) Inbox(to int) *msg.Inbox {
 // SharedWith reports the representative slot whose shared inbox core
 // slot to consumes this round, or -1 when the slot fills its own inbox.
 // It is a classifier observability hook for tests and diagnostics;
-// engines never need it.
+// the engine never needs it.
 func (r *Router) SharedWith(to int) int {
-	if !r.share {
+	if r.perMsg {
 		return -1
 	}
 	return int(r.shareRep[to])
@@ -1044,7 +1020,7 @@ func (r *Router) VerifyRound() error {
 			}
 		}
 	}
-	if !r.share {
+	if r.perMsg {
 		return nil
 	}
 	for rep := 0; rep < r.n; rep++ {

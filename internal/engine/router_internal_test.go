@@ -69,7 +69,7 @@ func inboxFingerprint(in *msg.Inbox) string {
 }
 
 // drainInboxes fingerprints and recycles every correct slot's inbox
-// (mirroring the engines' per-round reception), returning the
+// (mirroring the engine's per-round reception), returning the
 // fingerprints by slot.
 func (h *routerHarness) drainInboxes() []string {
 	out := make([]string, h.cfg.Params.N)
@@ -124,16 +124,17 @@ func TestClassifierSymmetricRoundSharesPerGroup(t *testing.T) {
 	}
 }
 
-// TestClassifierPerRecipientModeDisablesSharing pins the reference
-// path: with Config.Reception = ReceivePerRecipient nothing is shared.
-func TestClassifierPerRecipientModeDisablesSharing(t *testing.T) {
+// TestClassifierPerMessageDisablesSharing pins the reference path:
+// with Config.Delivery = DeliverPerMessage every recipient fills its own
+// inbox, so nothing is shared.
+func TestClassifierPerMessageDisablesSharing(t *testing.T) {
 	cfg := symmetricConfig(12, 4)
-	cfg.Reception = ReceivePerRecipient
+	cfg.Delivery = DeliverPerMessage
 	h := newRouterHarness(t, cfg, nil)
 	h.broadcastRound(1, nil)
 	for s := 0; s < 12; s++ {
 		if h.r.SharedWith(s) != -1 {
-			t.Fatalf("slot %d shares under ReceivePerRecipient", s)
+			t.Fatalf("slot %d shares under DeliverPerMessage", s)
 		}
 	}
 }

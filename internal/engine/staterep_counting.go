@@ -15,11 +15,10 @@ import (
 var ErrUnknownStateRep = errors.New("engine: unknown state representation")
 
 // StateRepByName resolves a state representation from its CLI/scenario
-// name: "" and "concrete" select Concrete, "concurrent" selects
-// ConcurrentConcrete, and "counting" selects Counting — with a class
-// budget when maxClasses > 0 (runs that split past the budget fail with
-// a *DegeneracyError). maxClasses is rejected for the concrete
-// representations, which have no class notion.
+// name: "" and "concrete" select Concrete, and "counting" selects
+// Counting — with a class budget when maxClasses > 0 (runs that split
+// past the budget fail with a *DegeneracyError). maxClasses is rejected
+// for the concrete representation, which has no class notion.
 func StateRepByName(name string, maxClasses int) (StateRep, error) {
 	switch name {
 	case "", "concrete":
@@ -27,18 +26,13 @@ func StateRepByName(name string, maxClasses int) (StateRep, error) {
 			return nil, fmt.Errorf("%w: %q takes no class budget", ErrUnknownStateRep, name)
 		}
 		return Concrete(), nil
-	case "concurrent":
-		if maxClasses > 0 {
-			return nil, fmt.Errorf("%w: %q takes no class budget", ErrUnknownStateRep, name)
-		}
-		return ConcurrentConcrete(), nil
 	case "counting":
 		if maxClasses > 0 {
 			return CountingLimited(maxClasses), nil
 		}
 		return Counting(), nil
 	}
-	return nil, fmt.Errorf("%w: %q (want concrete, concurrent or counting)", ErrUnknownStateRep, name)
+	return nil, fmt.Errorf("%w: %q (want concrete or counting)", ErrUnknownStateRep, name)
 }
 
 // Cloner is the optional Process extension that makes a protocol

@@ -305,26 +305,23 @@ func TestCountingSingletonFallback(t *testing.T) {
 	}
 }
 
-// TestCountingReceptionModes pins counting-vs-concrete parity across
-// both reception modes and both delivery modes on a faulty execution
-// (the slow path) and a clean one (the fast path).
-func TestCountingReceptionModes(t *testing.T) {
+// TestCountingDeliveryModes pins counting-vs-concrete parity across
+// both delivery modes (group-shared and per-recipient inbox fills) on a
+// faulty execution (the slow path) and a clean one (the fast path).
+func TestCountingDeliveryModes(t *testing.T) {
 	adv := targetRounds{bad: 3, plan: map[int][]msg.TargetedSend{
 		2: {{ToSlot: 8, Body: msg.Raw("poison")}},
 	}}
 	for _, delivery := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
-		for _, reception := range []engine.ReceptionMode{engine.ReceiveGroupShared, engine.ReceivePerRecipient} {
-			for _, faulty := range []bool{false, true} {
-				name := fmt.Sprintf("d%d-r%d-faulty%t", delivery, reception, faulty)
-				t.Run(name, func(t *testing.T) {
-					opts := append(countingOptions(false, 6),
-						engine.WithDelivery(delivery), engine.WithReception(reception))
-					if faulty {
-						opts = append(opts, engine.WithAdversary(adv))
-					}
-					runBoth(t, opts)
-				})
-			}
+		for _, faulty := range []bool{false, true} {
+			name := fmt.Sprintf("d%d-faulty%t", delivery, faulty)
+			t.Run(name, func(t *testing.T) {
+				opts := append(countingOptions(false, 6), engine.WithDelivery(delivery))
+				if faulty {
+					opts = append(opts, engine.WithAdversary(adv))
+				}
+				runBoth(t, opts)
+			})
 		}
 	}
 }

@@ -29,7 +29,7 @@ type Config struct {
 	// KeepExpected is how many expected violations to record (shrunk)
 	// for seed harvesting; real violations are always recorded.
 	KeepExpected int
-	// Invariants runs every scenario with the engines' per-round
+	// Invariants runs every scenario with the engine's per-round
 	// internal checks enabled (Options.Invariants) — the CI hardening
 	// mode. An invariant failure surfaces as a harness error.
 	Invariants bool

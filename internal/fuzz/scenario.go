@@ -31,7 +31,6 @@ import (
 	"homonyms/internal/inject"
 	"homonyms/internal/msg"
 	"homonyms/internal/protoreg"
-	"homonyms/internal/sim"
 )
 
 // Scenario is one fully specified fuzz execution: parameters, identifier
@@ -88,8 +87,8 @@ type Scenario struct {
 	// unlimited.
 	MaxSends int `json:"max_sends,omitempty"`
 	// StateRep selects the engine's state representation by name: "" or
-	// "concrete", "concurrent", or "counting" (equivalence classes with
-	// multiplicities). All representations replay a seed byte-identically;
+	// "concrete", or "counting" (equivalence classes with multiplicities).
+	// Both representations replay a seed byte-identically;
 	// the knob exists so a seed can pin the representation that first
 	// exposed a bug. Unknown names fail the scenario with a typed
 	// engine.ErrUnknownStateRep.
@@ -170,7 +169,7 @@ func (sc Scenario) assignment() (hom.Assignment, error) {
 // adversaryFor composes the scenario's adversary. The same per-scenario
 // RNG is threaded through the selector and behavior; drop policies stay
 // hash-pure (see the adversary package comment).
-func (sc Scenario) adversaryFor(proto protoreg.Protocol, p hom.Params) (sim.Adversary, error) {
+func (sc Scenario) adversaryFor(proto protoreg.Protocol, p hom.Params) (engine.Adversary, error) {
 	rng := adversary.NewRand(sc.AdvSeed)
 
 	var sel adversary.Selector
@@ -268,37 +267,38 @@ func (sc Scenario) adversaryFor(proto protoreg.Protocol, p hom.Params) (sim.Adve
 	return &adversary.Composite{Selector: sel, Behavior: beh, Drops: drops}, nil
 }
 
-// Config assembles the scenario into a runnable sim.Config: validated
+// Config assembles the scenario into a runnable engine.Config: validated
 // parameters, assignment, inputs, a fresh process factory and a freshly
 // composed adversary (with its own RNG state). Every call returns an
 // independent config, so the same scenario can be executed repeatedly —
-// under both engines, both delivery modes, or inside a worker pool — and
-// each execution sees the adversary exactly as a first run would. The
+// under both state representations, both delivery modes, or inside a
+// worker pool — and each execution sees the adversary exactly as a
+// first run would. The
 // returned config uses the scenario's GST (clamped to 1) and round
 // budget (the protocol's suggested budget when unset) and leaves
 // Delivery at its default; callers override fields as needed.
 //
 // Run performs the same assembly internally (plus claim classification);
 // Config exists for harnesses that need the raw execution, like the
-// delivery-mode parity tests replaying the committed seed corpus.
-func (sc Scenario) Config() (sim.Config, error) {
+// parity matrix replaying the committed seed corpus.
+func (sc Scenario) Config() (engine.Config, error) {
 	proto, ok := protoreg.Get(sc.Protocol)
 	if !ok {
-		return sim.Config{}, fmt.Errorf("fuzz: unknown protocol %q (registered: %v)", sc.Protocol, protoreg.Names())
+		return engine.Config{}, fmt.Errorf("fuzz: unknown protocol %q (registered: %v)", sc.Protocol, protoreg.Names())
 	}
 	p := sc.Params()
 	if err := p.Validate(); err != nil {
-		return sim.Config{}, fmt.Errorf("fuzz: invalid params: %w", err)
+		return engine.Config{}, fmt.Errorf("fuzz: invalid params: %w", err)
 	}
 	if ok, why := proto.Constructible(p); !ok {
-		return sim.Config{}, fmt.Errorf("fuzz: not constructible: %s", why)
+		return engine.Config{}, fmt.Errorf("fuzz: not constructible: %s", why)
 	}
 	a, err := sc.assignment()
 	if err != nil {
-		return sim.Config{}, err
+		return engine.Config{}, err
 	}
 	if len(sc.Inputs) != sc.N {
-		return sim.Config{}, fmt.Errorf("fuzz: need %d inputs, got %d", sc.N, len(sc.Inputs))
+		return engine.Config{}, fmt.Errorf("fuzz: need %d inputs, got %d", sc.N, len(sc.Inputs))
 	}
 	inputs := make([]hom.Value, sc.N)
 	for i, v := range sc.Inputs {
@@ -306,11 +306,11 @@ func (sc Scenario) Config() (sim.Config, error) {
 	}
 	adv, err := sc.adversaryFor(proto, p)
 	if err != nil {
-		return sim.Config{}, err
+		return engine.Config{}, err
 	}
 	factory, err := proto.New(p)
 	if err != nil {
-		return sim.Config{}, fmt.Errorf("fuzz: factory: %w", err)
+		return engine.Config{}, fmt.Errorf("fuzz: factory: %w", err)
 	}
 	gst := sc.GST
 	if gst < 1 {
@@ -320,7 +320,7 @@ func (sc Scenario) Config() (sim.Config, error) {
 	if maxRounds <= 0 {
 		maxRounds = proto.Rounds(p, gst)
 	}
-	cfg := sim.Config{
+	cfg := engine.Config{
 		Params:     p,
 		Assignment: a,
 		Inputs:     inputs,
@@ -340,7 +340,7 @@ func (sc Scenario) Config() (sim.Config, error) {
 			MaxAttempts: sc.MaxAttempts,
 		}
 	default:
-		return sim.Config{}, fmt.Errorf("fuzz: unknown time model %q", sc.TimeModel)
+		return engine.Config{}, fmt.Errorf("fuzz: unknown time model %q", sc.TimeModel)
 	}
 	return cfg, nil
 }
@@ -417,8 +417,8 @@ type Outcome struct {
 // Options tunes how a scenario is executed without being part of the
 // scenario itself (and therefore outside its digest's scenario half).
 type Options struct {
-	// Invariants enables the engines' per-round internal checks
-	// (sim.Config.Invariants): arena bounds, inbox issuance, group
+	// Invariants enables the engine's per-round internal checks
+	// (engine.Config.Invariants): arena bounds, inbox issuance, group
 	// refcounts, equivalence-class byte-equality.
 	Invariants bool
 	// ForceTimeModel, when non-empty, overrides the time model of
@@ -493,9 +493,9 @@ func run(sc Scenario, opts Options) (out *Outcome) {
 
 	// Wrap the factory so the verdict checker can interrogate the final
 	// process states; everything else in the config is Config()'s.
-	procs := make([]sim.Process, sc.N)
+	procs := make([]engine.Process, sc.N)
 	factory := cfg.NewProcess
-	cfg.NewProcess = func(slot int) sim.Process {
+	cfg.NewProcess = func(slot int) engine.Process {
 		pr := factory(slot)
 		procs[slot] = pr
 		return pr

@@ -7,12 +7,11 @@ import (
 
 	"homonyms/internal/engine"
 	"homonyms/internal/inject"
-	"homonyms/internal/sim"
 )
 
 // stripTiming returns the scenario with its timing dimension removed:
 // lockstep time model, zeroed policy knobs and budget, no timing faults.
-// The parity suite runs this stripped scenario under both time models —
+// The parity matrix runs this stripped scenario under both time models —
 // the anchor only holds when nothing in the scenario needs esync.
 func stripTiming(sc Scenario) Scenario {
 	sc.TimeModel = ""
@@ -23,57 +22,6 @@ func stripTiming(sc Scenario) Scenario {
 		sc.Faults = schedOrNil(f)
 	}
 	return sc
-}
-
-// TestSeedCorpusTimeModelParity is the tentpole's anchor: with zero
-// delay, zero skew and timeouts disabled, EventuallySynchronous must be
-// byte-identical to Lockstep — over every committed regression seed,
-// both state representations, both delivery modes and both reception
-// modes. The eventually-synchronous machinery may cost nothing when its
-// knobs are off; any fingerprint drift here means a hold/retransmit
-// code path leaked into the synchronous schedule.
-func TestSeedCorpusTimeModelParity(t *testing.T) {
-	reps := []struct {
-		name string
-		mk   func() engine.StateRep
-	}{
-		{"concrete", engine.Concrete},
-		{"concurrent", engine.ConcurrentConcrete},
-	}
-	for _, sc := range corpusScenarios(t) {
-		sc := stripTiming(sc)
-		t.Run(sc.Protocol+"_"+sc.Behavior.Kind, func(t *testing.T) {
-			for _, mode := range []sim.DeliveryMode{sim.DeliverBatched, sim.DeliverPerMessage} {
-				for _, rec := range []sim.ReceptionMode{sim.ReceiveGroupShared, sim.ReceivePerRecipient} {
-					for _, rep := range reps {
-						run := func(tm engine.TimeModel) string {
-							cfg, err := sc.Config()
-							if err != nil {
-								t.Fatalf("config: %v", err)
-							}
-							cfg.Delivery = mode
-							cfg.Reception = rec
-							res, err := engine.Run(
-								engine.FromConfig(cfg),
-								engine.WithTimeModel(tm),
-								engine.WithStateRep(rep.mk()),
-							)
-							if err != nil {
-								t.Fatalf("%s/%v/%v/%s: %v", tm.Describe(), mode, rec, rep.name, err)
-							}
-							return resultFingerprint(res)
-						}
-						want := run(engine.Lockstep{})
-						got := run(engine.EventuallySynchronous{})
-						if got != want {
-							t.Errorf("esync(zero-knob)/%v/%v/%s diverges from lockstep:\ngot:  %s\nwant: %s",
-								mode, rec, rep.name, got, want)
-						}
-					}
-				}
-			}
-		})
-	}
 }
 
 // timingVariant derives an eventually-synchronous stress scenario from a
@@ -106,35 +54,35 @@ func timingVariant(sc Scenario) Scenario {
 // retransmission produces one fingerprint across both state
 // representations, both delivery modes and repeated runs. Holds are
 // drained in deterministic pending-queue order and drained bodies stamp
-// behind the round's fresh traffic, so neither goroutine interleaving
-// nor delivery granularity may show through.
+// behind the round's fresh traffic, so neither the representation nor
+// delivery granularity may show through.
 func TestRetransmitDeterminism(t *testing.T) {
 	for _, base := range corpusScenarios(t) {
 		sc := timingVariant(base)
 		t.Run(sc.Protocol+"_"+sc.Behavior.Kind, func(t *testing.T) {
 			var want string
 			for rep := 0; rep < 2; rep++ {
-				for _, mode := range []sim.DeliveryMode{sim.DeliverBatched, sim.DeliverPerMessage} {
-					for _, conc := range []bool{false, true} {
+				for _, mode := range []engine.DeliveryMode{engine.DeliverBatched, engine.DeliverPerMessage} {
+					for _, counting := range []bool{false, true} {
 						cfg, err := sc.Config()
 						if err != nil {
 							t.Fatalf("config: %v", err)
 						}
 						cfg.Delivery = mode
 						opts := []engine.Option{engine.FromConfig(cfg), engine.WithInvariants()}
-						if conc {
-							opts = append(opts, engine.WithStateRep(engine.ConcurrentConcrete()))
+						if counting {
+							opts = append(opts, engine.WithStateRep(engine.Counting()))
 						}
 						res, err := engine.Run(opts...)
 						if err != nil {
-							t.Fatalf("run %d/%v/conc=%v: %v", rep, mode, conc, err)
+							t.Fatalf("run %d/%v/counting=%v: %v", rep, mode, counting, err)
 						}
 						got := resultFingerprint(res) + fmt.Sprintf("|%s", res.Stopped)
 						if want == "" {
 							want = got
 						} else if got != want {
-							t.Errorf("run %d/%v/conc=%v diverges:\ngot:  %s\nwant: %s",
-								rep, mode, conc, got, want)
+							t.Errorf("run %d/%v/counting=%v diverges:\ngot:  %s\nwant: %s",
+								rep, mode, counting, got, want)
 						}
 					}
 				}

@@ -1,5 +1,5 @@
 // Package inject is a deterministic fault-injection layer for the
-// simulation engines: it extends the model's fault surface beyond
+// simulation engine: it extends the model's fault surface beyond
 // Byzantine behaviors (package adversary) and pre-GST link drops to the
 // process and link faults the crash-failure literature treats as primary
 // — crash-stop, crash-recovery, send/receive omission, message
@@ -8,11 +8,11 @@
 // per-process round-clock stalls (skew).
 //
 // A Schedule is a declarative, JSON-serialisable list of faults. The
-// engines compile it once per execution (Compile) into an Injector whose
+// engine compiles it once per execution (Compile) into an Injector whose
 // queries are pure functions of (round, from, to): the same schedule
 // produces the same suppressed, duplicated and replayed deliveries under
-// both delivery modes, both reception modes and both engines, which is
-// what lets the delivery-parity corpus extend over injected faults.
+// both delivery modes and both state representations, which is what
+// lets the corpus parity matrix extend over injected faults.
 //
 // The faults compose freely with an adversary.Composite: Byzantine slots
 // are chosen by the adversary as before, and injected faults apply to
@@ -278,8 +278,8 @@ var (
 )
 
 // Injector is a compiled schedule: every query is a pure function of its
-// arguments, so the two delivery modes, the two reception modes and the
-// two engines observe identical faults. A nil *Injector injects nothing
+// arguments, so the two delivery modes and the two state
+// representations observe identical faults. A nil *Injector injects nothing
 // and every method is safe to call on it.
 type Injector struct {
 	sched    Schedule

@@ -94,7 +94,7 @@ func TestCrashWindows(t *testing.T) {
 }
 
 // TestActiveBound: a schedule of only bounded faults deactivates after
-// the last touched round, re-enabling the engines' fast path.
+// the last touched round, re-enabling the engine's fast path.
 func TestActiveBound(t *testing.T) {
 	in, err := Compile(&Schedule{
 		Crashes:    []Crash{{Slot: 0, Round: 2, Recover: 3}}, // last down round 4

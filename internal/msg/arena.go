@@ -2,7 +2,7 @@ package msg
 
 import "homonyms/internal/hom"
 
-// SendArena is the engines' per-round send buffer in structure-of-arrays
+// SendArena is the engine's per-round send buffer in structure-of-arrays
 // layout: one entry per stamped send, split into parallel columns so that
 // the hot inbox operations (dedup, copy counting, sorted ordering) touch
 // only the two integer columns and never scan the payload column.
@@ -62,7 +62,7 @@ func (a *SendArena) Append(it *Interner, id hom.Identifier, body Payload, bodyKe
 }
 
 // AppendInterned is Append for a body whose key was already interned
-// into it (the engines' ScratchKeyer send path: the body key is built
+// into it (the engine's ScratchKeyer send path: the body key is built
 // in a scratch KeyBuilder and symbolized without ever materialising a
 // fresh string). The canonical body string is read back from the intern
 // table, so the whole stamp allocates nothing for known keys.

@@ -9,7 +9,7 @@ import (
 // GroupInbox is the shared reception core for one equivalence class of
 // recipients: processes that received a byte-identical delivery batch
 // this round (in practice, the correct members of one identifier group
-// in an identifier-symmetric round). The engines' router fills it once —
+// in an identifier-symmetric round). The engine's router fills it once —
 // one KeyID-dense count array, one dedup pass, one lazily materialised
 // sort index — and hands each class member a read-only *Inbox view
 // (NewPooledInboxView), so the per-round fill cost scales with the
@@ -20,14 +20,15 @@ import (
 //   - The core is filled by the router on the engine goroutine, before
 //     any view is handed out. After the fill, the only mutation is the
 //     lazy sort-index materialisation, which is guarded (mutex + atomic
-//     flag) because the concurrent engine's process goroutines may race
-//     to be the first reader. Everything else is immutable until
+//     flag) because the views of one class are independent Inbox values
+//     whose holders may read them from different goroutines, and any of
+//     them may be the first reader. Everything else is immutable until
 //     release, so views are safe to read concurrently.
 //   - Views are pooled Inbox shells. Each view's Recycle releases one
 //     reference; when the last reference goes, the core zeroes the
 //     counts it touched and returns itself to the pool. The expected
 //     reference count is fixed at construction (the class size), so a
-//     core can never outlive its round: the engines recycle every
+//     core can never outlive its round: the engine recycles every
 //     inbox before the next BeginRound invalidates the arena.
 //   - Like every SoA inbox, the core references the engine's SendArena
 //     and is valid only until the round's arena reset.
@@ -46,10 +47,9 @@ type GroupInbox struct {
 	idxOK    atomic.Bool
 	orderIdx []int32
 
-	// refs counts the outstanding views. Views are recycled by the
-	// engine coordinator (never by process goroutines), but the counter
-	// is atomic so misuse shows up under the race detector instead of
-	// corrupting the pool.
+	// refs counts the outstanding views. Views are recycled on the
+	// engine goroutine, but the counter is atomic so misuse shows up
+	// under the race detector instead of corrupting the pool.
 	refs atomic.Int32
 }
 

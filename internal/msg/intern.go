@@ -20,14 +20,14 @@ type KeyID uint32
 const NoKey KeyID = 0
 
 // Interner maps canonical key strings to dense KeyIDs. It is the hot-path
-// symbolization table of the simulator: the engines intern every
+// symbolization table of the simulator: the engine interns every
 // delivered message's canonical key once at send time, after which
 // inboxes and protocol tables compare and count integers instead of
 // hashing strings per delivery.
 //
 // Assignment is deterministic: the i-th distinct key interned gets KeyID
 // i (1-based), so any two runs that intern the same keys in the same
-// order agree on every ID. The engines intern at stamp time, in send
+// order agree on every ID. The engine interns at stamp time, in send
 // order, which is itself deterministic, so parallel experiment grids
 // stay byte-identical across worker counts.
 //
@@ -123,8 +123,8 @@ func (it *Interner) Key(id KeyID) string {
 }
 
 // Snapshot copies the interned keys in KeyID order (index i holds the key
-// of KeyID i+1). Determinism tests compare snapshots across engines and
-// worker counts.
+// of KeyID i+1). Determinism tests compare snapshots across executions
+// and worker counts.
 func (it *Interner) Snapshot() []string {
 	return append([]string(nil), it.keys[1:]...)
 }

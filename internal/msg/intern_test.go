@@ -153,17 +153,11 @@ func TestInternedInboxZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; zero-alloc only holds in normal builds")
 	}
-	it := NewInterner()
-	arena := make([]Message, 0, 16)
-	var idx []int32
-	for s := 0; s < 16; s++ {
-		arena = append(arena, NewMessageInterned(it, hom.Identifier(s%8+1), Raw("propose|"+itoa(s%8+1))))
-		idx = append(idx, int32(s))
-	}
+	arena, idx := buildSoAArena(NewInterner(), 16, 8)
 	// Warm the pool and the dense count array.
-	NewPooledInboxIndexed(true, arena, idx).Recycle()
+	NewPooledInboxSoA(true, arena, idx).Recycle()
 	allocs := testing.AllocsPerRun(200, func() {
-		in := NewPooledInboxIndexed(true, arena, idx)
+		in := NewPooledInboxSoA(true, arena, idx)
 		if in.Len() == 0 {
 			t.Fatal("empty inbox")
 		}
@@ -179,22 +173,21 @@ func TestInternedInboxZeroAlloc(t *testing.T) {
 
 func TestIndexedInboxHonoursIndices(t *testing.T) {
 	it := NewInterner()
-	arena := []Message{
-		NewMessageInterned(it, 1, Raw("x")),
-		NewMessageInterned(it, 2, Raw("y")),
-		NewMessageInterned(it, 3, Raw("z")),
+	arena := &SendArena{}
+	for id, body := range []Payload{Raw("x"), Raw("y"), Raw("z")} {
+		arena.Append(it, hom.Identifier(id+1), body, body.Key())
 	}
-	// Receiver got two copies of arena[1] and one of arena[0]; arena[2]
+	// Receiver got two copies of entry 1 and one of entry 0; entry 2
 	// was dropped.
-	in := NewPooledInboxIndexed(true, arena, []int32{1, 0, 1})
+	in := NewPooledInboxSoA(true, arena, []int32{1, 0, 1})
 	defer in.Recycle()
 	if in.Len() != 2 || in.TotalCount() != 3 {
 		t.Fatalf("len=%d total=%d, want 2, 3", in.Len(), in.TotalCount())
 	}
-	if got := in.Count(arena[1]); got != 2 {
+	if got := in.Count(arena.Message(1)); got != 2 {
 		t.Fatalf("Count(y) = %d, want 2", got)
 	}
-	if got := in.Count(arena[2]); got != 0 {
+	if got := in.Count(arena.Message(2)); got != 0 {
 		t.Fatalf("Count(z) = %d, want 0 (dropped)", got)
 	}
 }

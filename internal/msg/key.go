@@ -130,7 +130,7 @@ func (kb *KeyBuilder) Bytes() []byte { return kb.buf }
 // string-free path protocol tables use every round.
 func (kb *KeyBuilder) Intern(it *Interner) KeyID { return it.InternBytes(kb.buf) }
 
-// ScratchKeyer is an optional Payload extension for the engines' send
+// ScratchKeyer is an optional Payload extension for the engine's send
 // path: a payload that can rebuild its canonical key into a
 // caller-provided KeyBuilder implements it, and the router then builds
 // the key in round scratch and interns it directly — no per-send key

@@ -14,7 +14,7 @@
 // and every Inbox operation afterwards — dedup, copy counting, sorted
 // ordering — compares and indexes integers instead of hashing strings.
 //
-// The engines' round storage is the SendArena: a structure-of-arrays
+// The engine's round storage is the SendArena: a structure-of-arrays
 // buffer holding each stamped send once, split into parallel identifier /
 // KeyID / payload / key columns. Inboxes over it (NewPooledInboxSoA)
 // reference entries by int32 index, dedup and count through the KeyID
@@ -51,7 +51,7 @@ type Payload interface {
 // indistinguishable.
 //
 // Messages built through NewMessage or NewMessageKeyed carry their
-// canonical key precomputed; the engines build them through the interning
+// canonical key precomputed; the engine builds them through the interning
 // variants, which additionally stamp a dense KeyID so every downstream
 // comparison is integer work. Composite literals still work and fall back
 // to computing the key on demand.
@@ -85,7 +85,7 @@ func NewMessageInterned(it *Interner, id hom.Identifier, body Payload) Message {
 	return NewMessageKeyedInterned(it, id, body, body.Key())
 }
 
-// NewMessageKeyedInterned is the engines' message constructor: the
+// NewMessageKeyedInterned is the engine's message constructor: the
 // canonical key is built in the interner's scratch buffer and interned,
 // so a key that was seen before costs one hash lookup and zero
 // allocations.
@@ -187,7 +187,7 @@ type Delivered struct {
 //
 // Receivers that iterate through the indexed accessors (SenderAt, BodyAt,
 // CountAt over 0..Len()) never force the []Message view into existence:
-// on the engines' structure-of-arrays path (NewPooledInboxSoA) only the
+// on the engine's structure-of-arrays path (NewPooledInboxSoA) only the
 // int32 sort index and the two integer columns of the shared SendArena
 // are touched, and the payload column is read just for the entries the
 // receiver actually inspects.
@@ -200,13 +200,11 @@ type Inbox struct {
 	// recipients), and only the materialised []Message view remains
 	// view-local. All other storage fields are unused in this mode.
 	shared *GroupInbox
-	// Distinct messages in arrival order, in exactly one of three
+	// Distinct messages in arrival order, in exactly one of two
 	// storages: int32 references into a caller-owned SoA send arena (soa;
-	// the engines' path — the n^2 delivery fan-out never copies Message
-	// structs), int32 references into a caller-owned []Message arena
-	// (arena; the legacy indexed path), or owned copies (msgs).
+	// the engine's path — the n^2 delivery fan-out never copies Message
+	// structs) or owned copies (msgs).
 	soa      *SendArena
-	arena    []Message
 	ref      []int32
 	msgs     []Message
 	orderIdx []int32        // sorted positions over the distinct set
@@ -224,7 +222,7 @@ func (in *Inbox) distinctLen() int {
 	if in.shared != nil {
 		return len(in.shared.ref)
 	}
-	if in.soa != nil || in.arena != nil {
+	if in.soa != nil {
 		return len(in.ref)
 	}
 	return len(in.msgs)
@@ -238,8 +236,6 @@ func (in *Inbox) refID(j int) hom.Identifier {
 		return in.shared.soa.ids[in.shared.ref[j]]
 	case in.soa != nil:
 		return in.soa.ids[in.ref[j]]
-	case in.arena != nil:
-		return in.arena[in.ref[j]].ID
 	default:
 		return in.msgs[j].ID
 	}
@@ -253,8 +249,6 @@ func (in *Inbox) refKid(j int) KeyID {
 		return in.shared.soa.kids[in.shared.ref[j]]
 	case in.soa != nil:
 		return in.soa.kids[in.ref[j]]
-	case in.arena != nil:
-		return in.arena[in.ref[j]].kid
 	default:
 		return in.msgs[j].kid
 	}
@@ -268,8 +262,6 @@ func (in *Inbox) refKey(j int) string {
 		return in.shared.soa.keys[in.shared.ref[j]]
 	case in.soa != nil:
 		return in.soa.keys[in.ref[j]]
-	case in.arena != nil:
-		return in.arena[in.ref[j]].key
 	default:
 		return in.msgs[j].key
 	}
@@ -282,8 +274,6 @@ func (in *Inbox) refMessage(j int) Message {
 		return in.shared.soa.Message(in.shared.ref[j])
 	case in.soa != nil:
 		return in.soa.Message(in.ref[j])
-	case in.arena != nil:
-		return in.arena[in.ref[j]]
 	default:
 		return in.msgs[j]
 	}
@@ -308,18 +298,7 @@ func NewInbox(numerate bool, raw []Message) *Inbox {
 	return in
 }
 
-// NewPooledInboxIndexed builds a pooled inbox over an index view into a
-// shared []Message send arena (the pre-SoA engine layout, kept for
-// callers that already hold stamped Message values). The arena must
-// outlive the inbox; the caller owns the inbox until Recycle.
-func NewPooledInboxIndexed(numerate bool, arena []Message, idx []int32) *Inbox {
-	in := inboxPool.Get().(*Inbox)
-	in.pooled = true
-	in.fillIndexed(numerate, arena, idx)
-	return in
-}
-
-// NewPooledInboxSoA is the engines' inbox constructor: the round's sends
+// NewPooledInboxSoA is the engine's inbox constructor: the round's sends
 // live once in a structure-of-arrays SendArena and each receiver's
 // deliveries are int32 indices into it. The fill path reads only the
 // KeyID column — one bounds-checked pass over idx — and the payload
@@ -445,7 +424,6 @@ func (in *Inbox) Recycle() {
 	}
 	// Drop payload references so the pool retains no garbage.
 	in.soa = nil
-	in.arena = nil
 	in.ref = in.ref[:0]
 	clear(in.msgs)
 	in.msgs = in.msgs[:0]
@@ -491,59 +469,6 @@ func (in *Inbox) fill(numerate bool, raw []Message) {
 	}
 	for _, m := range raw {
 		in.addLegacy(m, numerate)
-	}
-}
-
-// fillIndexed is fill over an index view into a shared send arena. The
-// interned fast path keeps arena references instead of copying messages:
-// the arena outlives the inbox (both are engine-owned round scratch), so
-// dedup appends one int32 per distinct message and no Message struct
-// moves until someone materialises the sorted view.
-func (in *Inbox) fillIndexed(numerate bool, arena []Message, idx []int32) {
-	in.numerate = numerate
-	in.total = 0
-	in.idxOK, in.viewOK = false, false
-	maxKid := KeyID(0)
-	in.interned = len(idx) > 0
-	for _, i := range idx {
-		if arena[i].kid == NoKey {
-			in.interned = false
-			break
-		}
-		if arena[i].kid > maxKid {
-			maxKid = arena[i].kid
-		}
-	}
-	if in.interned {
-		in.arena = arena
-		if cap(in.ref) < len(idx) {
-			in.ref = make([]int32, 0, len(idx))
-		}
-		in.growCounts(maxKid)
-		for _, i := range idx {
-			m := &arena[i]
-			in.total++
-			if c := in.kidCount[m.kid]; c > 0 {
-				if numerate {
-					in.kidCount[m.kid] = c + 1
-				} else {
-					in.total--
-				}
-				continue
-			}
-			in.kidCount[m.kid] = 1
-			in.ref = append(in.ref, i)
-		}
-		return
-	}
-	if cap(in.msgs) < len(idx) {
-		in.msgs = make([]Message, 0, len(idx))
-	}
-	if in.counts == nil {
-		in.counts = make(map[string]int, len(idx))
-	}
-	for _, i := range idx {
-		in.addLegacy(arena[i], numerate)
 	}
 }
 
@@ -786,8 +711,6 @@ func (in *Inbox) BodyAt(i int) Payload {
 		return in.shared.soa.bodies[in.shared.ref[j]]
 	case in.soa != nil:
 		return in.soa.bodies[in.ref[j]]
-	case in.arena != nil:
-		return in.arena[in.ref[j]].Body
 	default:
 		return in.msgs[j].Body
 	}

@@ -20,20 +20,20 @@ func buildSoAArena(it *Interner, n, l int) (*SendArena, []int32) {
 	return arena, idx
 }
 
-// TestSoAInboxMatchesIndexed pins the SoA fill against the established
-// []Message-arena fill: same distinct set, same sorted order, same
-// counts, same totals, in both reception semantics.
-func TestSoAInboxMatchesIndexed(t *testing.T) {
+// TestSoAInboxMatchesOwnedFill pins the SoA fill against the
+// owned-copy fill of the same deliveries: same distinct set, same sorted
+// order, same counts, same totals, in both reception semantics.
+func TestSoAInboxMatchesOwnedFill(t *testing.T) {
 	for _, numerate := range []bool{false, true} {
 		it := NewInterner()
 		soa, idx := buildSoAArena(it, 16, 5)
-		aos := make([]Message, soa.Len())
-		for i := range aos {
-			aos[i] = soa.Message(int32(i))
+		aos := make([]Message, len(idx))
+		for i, j := range idx {
+			aos[i] = soa.Message(j)
 		}
 
 		soaIn := NewPooledInboxSoA(numerate, soa, idx)
-		aosIn := NewPooledInboxIndexed(numerate, aos, idx)
+		aosIn := NewPooledInbox(numerate, aos)
 
 		if soaIn.Len() != aosIn.Len() || soaIn.TotalCount() != aosIn.TotalCount() {
 			t.Fatalf("numerate=%v: len/total %d/%d, want %d/%d",
@@ -152,7 +152,7 @@ func TestSendArenaReset(t *testing.T) {
 	}
 }
 
-// BenchmarkSoAInboxBuild measures the engines' per-recipient fill: a
+// BenchmarkSoAInboxBuild measures the engine's per-recipient fill: a
 // 64-delivery batch deduped and counted through the KeyID column alone.
 func BenchmarkSoAInboxBuild(b *testing.B) {
 	it := NewInterner()

@@ -1,9 +1,17 @@
-package sim
+// Package sim_test is the round-model semantics suite: black-box tests
+// of the synchronous and partially synchronous round model as package
+// engine implements it — identifier stamping, unforgeable identifiers,
+// restricted Byzantine senders, GST drops, visibility, self-delivery,
+// validation, faults, budgets and invariants. The directory holds no
+// code: the sequential façade that used to live here is folded into
+// engine, and the suite keeps its path so its test names stay stable.
+package sim_test
 
 import (
 	"errors"
 	"testing"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
 	"homonyms/internal/msg"
 )
@@ -12,7 +20,7 @@ import (
 // round, on the smallest value it has ever received (a toy protocol used
 // only to exercise engine mechanics).
 type echoProc struct {
-	ctx       Context
+	ctx       engine.Context
 	decideAt  int
 	seen      hom.ValueSet
 	seenIDs   map[hom.Identifier]bool
@@ -26,7 +34,7 @@ type valPayload struct{ v hom.Value }
 
 func (p valPayload) Key() string { return msg.NewKey("val").Value(p.v).String() }
 
-func (e *echoProc) Init(ctx Context) {
+func (e *echoProc) Init(ctx engine.Context) {
 	e.ctx = ctx
 	e.seen = hom.NewValueSet()
 	e.seenIDs = make(map[hom.Identifier]bool)
@@ -59,24 +67,27 @@ func (e *echoProc) Receive(round int, in *msg.Inbox) {
 
 func (e *echoProc) Decision() (hom.Value, bool) { return e.decision, e.decided }
 
-func baseConfig(n, l, t int) Config {
+// runConfig executes a Config literal through the options API.
+func runConfig(cfg engine.Config) (*engine.Result, error) { return engine.Run(engine.FromConfig(cfg)) }
+
+func baseConfig(n, l, t int) engine.Config {
 	p := hom.Params{N: n, L: l, T: t, Synchrony: hom.Synchronous}
 	inputs := make([]hom.Value, n)
 	for i := range inputs {
 		inputs[i] = hom.Value(i % 2)
 	}
-	return Config{
+	return engine.Config{
 		Params:     p,
 		Assignment: hom.RoundRobinAssignment(n, l),
 		Inputs:     inputs,
-		NewProcess: func(int) Process { return &echoProc{} },
+		NewProcess: func(int) engine.Process { return &echoProc{} },
 		MaxRounds:  10,
 	}
 }
 
 func TestRunFaultFree(t *testing.T) {
 	cfg := baseConfig(4, 4, 1)
-	res, err := Run(cfg)
+	res, err := runConfig(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -105,7 +116,7 @@ func TestIdentifierStamping(t *testing.T) {
 	// their identifier, never their slot.
 	cfg := baseConfig(4, 2, 1)
 	cfg.RecordTraffic = true
-	res, err := Run(cfg)
+	res, err := runConfig(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -125,7 +136,7 @@ type byzRaw struct {
 }
 
 func (b *byzRaw) Corrupt(p hom.Params, _ hom.Assignment, _ []hom.Value) []int { return []int{0} }
-func (b *byzRaw) Sends(round, slot int, view *View) []msg.TargetedSend {
+func (b *byzRaw) Sends(round, slot int, view *engine.View) []msg.TargetedSend {
 	var out []msg.TargetedSend
 	for to := 0; to < view.Params.N; to++ {
 		for c := 0; c < b.copies; c++ {
@@ -140,7 +151,7 @@ func TestByzantineCannotForgeIdentifier(t *testing.T) {
 	cfg := baseConfig(4, 4, 1)
 	cfg.Adversary = &byzRaw{copies: 1, body: msg.Raw("forged")}
 	cfg.RecordTraffic = true
-	res, err := Run(cfg)
+	res, err := runConfig(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -162,7 +173,7 @@ func TestRestrictedByzantineEnforced(t *testing.T) {
 	cfg.Params.RestrictedByzantine = true
 	cfg.Params.Numerate = true
 	cfg.Adversary = &byzRaw{copies: 3, body: msg.Raw("x")}
-	res, err := Run(cfg)
+	res, err := runConfig(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -185,14 +196,14 @@ func TestUnrestrictedMultiSendCounted(t *testing.T) {
 	cfg := baseConfig(4, 4, 1)
 	cfg.Params.Numerate = true
 	cfg.Adversary = &byzRaw{copies: 3, body: msg.Raw("x")}
-	cfg.NewProcess = func(slot int) Process {
+	cfg.NewProcess = func(slot int) engine.Process {
 		return &probeProc{onReceive: func(round int, in *msg.Inbox) {
 			if round == 1 && slot == 1 {
 				got = in.Count(msg.Message{ID: 1, Body: msg.Raw("x")})
 			}
 		}}
 	}
-	if _, err := Run(cfg); err != nil {
+	if _, err := runConfig(cfg); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if got != 3 {
@@ -206,7 +217,7 @@ type probeProc struct {
 	decided   bool
 }
 
-func (p *probeProc) Init(Context)           {}
+func (p *probeProc) Init(engine.Context)    {}
 func (p *probeProc) Prepare(int) []msg.Send { return nil }
 func (p *probeProc) Receive(r int, in *msg.Inbox) {
 	if p.onReceive != nil {
@@ -221,13 +232,13 @@ func (p *probeProc) Decision() (hom.Value, bool) { return 0, p.decided }
 type dropAll struct{}
 
 func (dropAll) Corrupt(hom.Params, hom.Assignment, []hom.Value) []int { return nil }
-func (dropAll) Sends(int, int, *View) []msg.TargetedSend              { return nil }
+func (dropAll) Sends(int, int, *engine.View) []msg.TargetedSend       { return nil }
 func (dropAll) Drop(int, int, int) bool                               { return true }
 
 func TestSynchronousIgnoresDrops(t *testing.T) {
 	cfg := baseConfig(4, 4, 1)
 	cfg.Adversary = dropAll{}
-	res, err := Run(cfg)
+	res, err := runConfig(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -244,9 +255,9 @@ func TestGSTStopsDrops(t *testing.T) {
 	cfg.Params.Synchrony = hom.PartiallySynchronous
 	cfg.GST = 4
 	cfg.Adversary = dropAll{}
-	cfg.NewProcess = func(int) Process { return &echoProc{decideAt: 6} }
+	cfg.NewProcess = func(int) engine.Process { return &echoProc{decideAt: 6} }
 	cfg.MaxRounds = 10
-	res, err := Run(cfg)
+	res, err := runConfig(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -265,14 +276,14 @@ func TestSelfDeliveryIsReliable(t *testing.T) {
 	cfg.GST = 100 // drops allowed for the whole run
 	cfg.Adversary = dropAll{}
 	sawSelf := false
-	cfg.NewProcess = func(slot int) Process {
+	cfg.NewProcess = func(slot int) engine.Process {
 		if slot != 2 {
 			return &echoProc{}
 		}
 		return &selfCheck{slot: slot, saw: &sawSelf}
 	}
 	cfg.MaxRounds = 3
-	if _, err := Run(cfg); err != nil {
+	if _, err := runConfig(cfg); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !sawSelf {
@@ -286,7 +297,7 @@ type selfCheck struct {
 	decided bool
 }
 
-func (s *selfCheck) Init(Context) {}
+func (s *selfCheck) Init(engine.Context) {}
 func (s *selfCheck) Prepare(int) []msg.Send {
 	return []msg.Send{msg.Broadcast(msg.Raw("self"))}
 }
@@ -308,7 +319,7 @@ func TestVisibilityMask(t *testing.T) {
 	cfg := baseConfig(4, 4, 1)
 	cfg.Visibility = func(from, to int) bool { return !(from == 3 && to == 0) }
 	var sawID4 bool
-	cfg.NewProcess = func(slot int) Process {
+	cfg.NewProcess = func(slot int) engine.Process {
 		if slot != 0 {
 			return &echoProc{}
 		}
@@ -318,7 +329,7 @@ func TestVisibilityMask(t *testing.T) {
 			}
 		}}
 	}
-	if _, err := Run(cfg); err != nil {
+	if _, err := runConfig(cfg); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if sawID4 {
@@ -331,7 +342,7 @@ func TestSendToIdentifier(t *testing.T) {
 	// identifier.
 	cfg := baseConfig(4, 2, 1) // slots 0,2 -> id 1; slots 1,3 -> id 2
 	reached := make(map[int]bool)
-	cfg.NewProcess = func(slot int) Process {
+	cfg.NewProcess = func(slot int) engine.Process {
 		if slot == 0 {
 			return &targetedSender{}
 		}
@@ -344,7 +355,7 @@ func TestSendToIdentifier(t *testing.T) {
 		}}
 	}
 	cfg.MaxRounds = 2
-	if _, err := Run(cfg); err != nil {
+	if _, err := runConfig(cfg); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if reached[1] != true || reached[3] != true {
@@ -357,7 +368,7 @@ func TestSendToIdentifier(t *testing.T) {
 
 type targetedSender struct{ decided bool }
 
-func (ts *targetedSender) Init(Context) {}
+func (ts *targetedSender) Init(engine.Context) {}
 func (ts *targetedSender) Prepare(round int) []msg.Send {
 	if round == 1 {
 		return []msg.Send{msg.SendTo(2, msg.Raw("targeted"))}
@@ -372,25 +383,25 @@ func TestConfigValidation(t *testing.T) {
 
 	bad := good
 	bad.MaxRounds = 0
-	if _, err := Run(bad); !errors.Is(err, ErrNoRoundCap) {
+	if _, err := runConfig(bad); !errors.Is(err, engine.ErrNoRoundCap) {
 		t.Fatalf("want ErrNoRoundCap, got %v", err)
 	}
 
 	bad = good
 	bad.NewProcess = nil
-	if _, err := Run(bad); !errors.Is(err, ErrNilProcessFactory) {
+	if _, err := runConfig(bad); !errors.Is(err, engine.ErrNilProcessFactory) {
 		t.Fatalf("want ErrNilProcessFactory, got %v", err)
 	}
 
 	bad = good
 	bad.Inputs = bad.Inputs[:2]
-	if _, err := Run(bad); !errors.Is(err, hom.ErrInputLength) {
+	if _, err := runConfig(bad); !errors.Is(err, hom.ErrInputLength) {
 		t.Fatalf("want ErrInputLength, got %v", err)
 	}
 
 	bad = good
 	bad.Assignment = hom.Assignment{1, 1, 1, 1}
-	if _, err := Run(bad); err == nil {
+	if _, err := runConfig(bad); err == nil {
 		t.Fatal("want assignment validation error")
 	}
 }
@@ -405,23 +416,23 @@ func (overCorrupt) Corrupt(p hom.Params, _ hom.Assignment, _ []hom.Value) []int 
 	}
 	return out
 }
-func (overCorrupt) Sends(int, int, *View) []msg.TargetedSend { return nil }
-func (overCorrupt) Drop(int, int, int) bool                  { return false }
+func (overCorrupt) Sends(int, int, *engine.View) []msg.TargetedSend { return nil }
+func (overCorrupt) Drop(int, int, int) bool                         { return false }
 
 func TestAdversaryBudgetEnforced(t *testing.T) {
 	cfg := baseConfig(4, 4, 1)
 	cfg.Adversary = overCorrupt{}
-	if _, err := Run(cfg); !errors.Is(err, ErrTooManyCorrupt) {
+	if _, err := runConfig(cfg); !errors.Is(err, engine.ErrTooManyCorrupt) {
 		t.Fatalf("want ErrTooManyCorrupt, got %v", err)
 	}
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	run := func() *Result {
+	run := func() *engine.Result {
 		cfg := baseConfig(6, 3, 1)
 		cfg.Adversary = &byzRaw{copies: 2, body: msg.Raw("x")}
 		cfg.RecordTraffic = true
-		res, err := Run(cfg)
+		res, err := runConfig(cfg)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -441,7 +452,7 @@ func TestDeterministicReplay(t *testing.T) {
 func TestExtraRounds(t *testing.T) {
 	cfg := baseConfig(4, 4, 1)
 	cfg.ExtraRounds = 3
-	res, err := Run(cfg)
+	res, err := runConfig(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -16,12 +16,12 @@ import (
 	"homonyms/internal/attacks"
 	"homonyms/internal/classical"
 	"homonyms/internal/core"
+	"homonyms/internal/engine"
 	"homonyms/internal/exec"
 	"homonyms/internal/hom"
 	"homonyms/internal/inject"
 	"homonyms/internal/psynchom"
 	"homonyms/internal/psyncnum"
-	"homonyms/internal/sim"
 	"homonyms/internal/synchom"
 	"homonyms/internal/trace"
 )
@@ -96,8 +96,8 @@ type SuiteSize struct {
 	Crashes int
 	// StateRep selects the engine state representation for the positive
 	// suite's runs by name (see engine.StateRepByName): "" or "concrete",
-	// "concurrent", or "counting". Every representation is byte-identical
-	// on the same execution, so outcomes cannot depend on the choice —
+	// or "counting". Both representations are byte-identical on the same
+	// execution, so outcomes cannot depend on the choice —
 	// the knob trades memory for class bookkeeping on big-n grids. The
 	// lower-bound attacks of the negative cells drive processes directly
 	// and ignore it. Unknown names fail the cell with a typed
@@ -158,7 +158,7 @@ func evaluateSolvable(cell *Cell, p hom.Params, suite SuiteSize, seed int64) (*C
 			for j := range inputs {
 				inputs[j] = hom.Value((j + ai + bi) % 2)
 			}
-			var adv sim.Adversary
+			var adv engine.Adversary
 			if beh != nil {
 				comp := &adversary.Composite{
 					Selector: adversary.RandomT{Seed: seed + int64(ai*7+bi)},
@@ -204,7 +204,7 @@ func evaluateSolvable(cell *Cell, p hom.Params, suite SuiteSize, seed int64) (*C
 		for j := range inputs {
 			inputs[j] = hom.Value(j % 2)
 		}
-		var adv sim.Adversary
+		var adv engine.Adversary
 		if byz > 0 {
 			slots := make(adversary.Slots, byz)
 			for i := range slots {

@@ -15,8 +15,8 @@ import (
 	"sort"
 	"strings"
 
+	"homonyms/internal/engine"
 	"homonyms/internal/hom"
-	"homonyms/internal/sim"
 )
 
 // Property identifies one of the three agreement properties.
@@ -140,73 +140,60 @@ func (v Verdict) String() string {
 
 // Check evaluates validity, agreement and termination over a finished
 // execution.
-func Check(res *sim.Result) Verdict {
+func Check(res *engine.Result) Verdict {
 	var verdict Verdict
 
-	// Each loop ranges over res.CorrectSlotsSeq in place, which walks the
-	// correct slots without building a slice or allocating.
-
-	// Termination.
+	// One pass over the correct slots (ranging over res.CorrectSlotsSeq
+	// in place allocates nothing) gathers all three properties.
+	// Termination violations are appended as they are found; the
+	// agreement and validity witnesses are the first divergent slots and
+	// are rendered after the pass, so violations are always ordered
+	// termination, agreement, validity.
+	first, split, wrong := -1, -1, -1 // first decided; first disagreeing; first decided ≠ proposed
+	proposed, seen, unanimous := hom.NoValue, false, true
 	for s := range res.CorrectSlotsSeq {
+		if !seen {
+			proposed, seen = res.Inputs[s], true
+		} else if res.Inputs[s] != proposed {
+			unanimous = false
+		}
 		if res.DecidedAt[s] == 0 {
 			verdict.Violations = append(verdict.Violations, Violation{
 				Property: Termination,
 				Detail: fmt.Sprintf("slot %d (identifier %d) undecided after %d rounds",
 					s, res.Assignment[s], res.Rounds),
 			})
-		}
-	}
-
-	// Agreement.
-	firstVal, firstSlot := hom.NoValue, -1
-	for s := range res.CorrectSlotsSeq {
-		if res.DecidedAt[s] == 0 {
 			continue
 		}
-		if firstSlot < 0 {
-			firstVal, firstSlot = res.Decisions[s], s
-			continue
+		if first < 0 {
+			first = s
+		} else if split < 0 && res.Decisions[s] != res.Decisions[first] {
+			split = s
 		}
-		if res.Decisions[s] != firstVal {
-			verdict.Violations = append(verdict.Violations, Violation{
-				Property: Agreement,
-				Detail: fmt.Sprintf("slot %d decided %d but slot %d decided %d",
-					firstSlot, firstVal, s, res.Decisions[s]),
-			})
-			break
+		if wrong < 0 && res.Decisions[s] != proposed {
+			wrong = s
 		}
 	}
-
-	// Validity.
-	unanimous, seen := true, false
-	var proposed hom.Value = hom.NoValue
-	for s := range res.CorrectSlotsSeq {
-		if !seen {
-			proposed, seen = res.Inputs[s], true
-		} else if res.Inputs[s] != proposed {
-			unanimous = false
-			break
-		}
+	if split >= 0 {
+		verdict.Violations = append(verdict.Violations, Violation{
+			Property: Agreement,
+			Detail: fmt.Sprintf("slot %d decided %d but slot %d decided %d",
+				first, res.Decisions[first], split, res.Decisions[split]),
+		})
 	}
-	if unanimous && seen {
-		for s := range res.CorrectSlotsSeq {
-			if res.DecidedAt[s] != 0 && res.Decisions[s] != proposed {
-				verdict.Violations = append(verdict.Violations, Violation{
-					Property: Validity,
-					Detail: fmt.Sprintf("all correct processes proposed %d but slot %d decided %d",
-						proposed, s, res.Decisions[s]),
-				})
-				break
-			}
-		}
+	if unanimous && wrong >= 0 {
+		verdict.Violations = append(verdict.Violations, Violation{
+			Property: Validity,
+			Detail: fmt.Sprintf("all correct processes proposed %d but slot %d decided %d",
+				proposed, wrong, res.Decisions[wrong]),
+		})
 	}
-
 	return verdict
 }
 
 // LatestDecisionRound returns the largest decision round among correct
 // slots (0 if none decided) — the execution's decision latency.
-func LatestDecisionRound(res *sim.Result) int {
+func LatestDecisionRound(res *engine.Result) int {
 	latest := 0
 	for s := range res.CorrectSlotsSeq {
 		if res.DecidedAt[s] > latest {
@@ -218,7 +205,7 @@ func LatestDecisionRound(res *sim.Result) int {
 
 // DecidedValue returns the common decided value of the correct slots, when
 // at least one decided and agreement holds; otherwise ok is false.
-func DecidedValue(res *sim.Result) (v hom.Value, ok bool) {
+func DecidedValue(res *engine.Result) (v hom.Value, ok bool) {
 	v = hom.NoValue
 	for s := range res.CorrectSlotsSeq {
 		if res.DecidedAt[s] == 0 {
